@@ -24,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset_eval import OutcomeTable, null_feature_residual
-from .errors import CapExceededError, TableError
+from .errors import TableError
 from .importance import (
     ImportanceVector,
     ScoreMethod,
+    _subgame_scores,
     restricted_vector,
     score_vector,
 )
@@ -36,12 +37,11 @@ from .subset_algebra import (
     DEFAULT_TOL,
     Tolerance,
     ValueTable,
-    eliminate,
+    _context_mask,
+    _halves,
+    _marginals,
+    indices_of,
 )
-
-# Context enumeration per elimination gives O(3^n) score evaluations.
-ELIMINATION_MAX_FEATURES = 12
-SEPARABLE_IMPORTANCE_MAX_FEATURES = 12
 
 SYMMETRY_VARIANTS = ("z_empty", "z_pair")
 
@@ -143,21 +143,19 @@ def check_monotonicity(table: ValueTable, tol: Tolerance = DEFAULT_TOL) -> Axiom
     itself is agnostic.
     """
     v = table.values
-    masks = np.arange(1 << table.n, dtype=np.int64)
     worst = 0.0
     witness = None
     for f in range(table.n):
-        bit = 1 << f
-        sub = masks[(masks >> f) & 1 == 0]
-        drops = v[sub] - v[sub | bit]
-        at = int(np.argmax(drops))
-        if float(drops[at]) > worst:
-            worst = float(drops[at])
+        gains = _marginals(v, table.n, f)
+        at = int(np.argmin(gains))
+        if -float(gains[at]) > worst:
+            worst = -float(gains[at])
+            sub = _context_mask(at, f)
             witness = Witness(
-                subset=int(sub[at]),
+                subset=sub,
                 feature=f,
-                lhs=float(v[sub[at]]),
-                rhs=float(v[sub[at] | bit]),
+                lhs=float(v[sub]),
+                rhs=float(v[sub | (1 << f)]),
             )
     if tol.within(worst):
         return _passed("monotonicity", tol, worst)
@@ -194,29 +192,29 @@ def check_elimination(
 
     Every nonempty proper feature subset is eliminated in turn and each
     surviving feature rescored (the empty elimination changes nothing).
-    Witness features are reported in the original indexing.
+    The subgame scores come in closed form, O(n * 2^n) per rule and
+    O(2^n) memory. The witness is the largest rise, ties going to the
+    lowest drop mask and then the lowest feature; its features are in
+    the original indexing.
     """
-    if table.n > ELIMINATION_MAX_FEATURES:
-        raise CapExceededError(
-            f"elimination audit is capped at {ELIMINATION_MAX_FEATURES} features, got n={table.n}"
-        )
-    base = score_vector(method, table).scores
     worst = 0.0
     witness = None
     if table.n > 1:
-        for drop in range(1, table.full_mask):
-            restricted, kept = eliminate(table, drop)
-            sub_scores = score_vector(method, restricted).scores
-            for new_idx, old_idx in enumerate(kept):
-                rise = float(sub_scores[new_idx] - base[old_idx])
-                if rise > worst:
-                    worst = rise
-                    witness = Witness(
-                        subset=drop,
-                        feature=old_idx,
-                        lhs=float(base[old_idx]),
-                        rhs=float(sub_scores[new_idx]),
-                    )
+        for f, in_subgames in enumerate(_subgame_scores(method, table)):
+            # Reversed, entry c is what is left after dropping _context_mask(c, f).
+            by_drop = in_subgames[::-1]
+            rises = by_drop[1:] - by_drop[0]
+            at = int(np.argmax(rises))
+            rise = float(rises[at])
+            drop = _context_mask(at + 1, f)
+            if rise > worst or (rise == worst and witness is not None and drop < witness.subset):
+                worst = rise
+                witness = Witness(
+                    subset=drop,
+                    feature=f,
+                    lhs=float(by_drop[0]),
+                    rhs=float(by_drop[at + 1]),
+                )
     if tol.within(worst):
         return _passed("elimination", tol, worst)
     return AxiomReport("elimination", False, worst, tol.absolute, witness=witness)
@@ -263,28 +261,24 @@ def check_triviality(
     n = table.n
     values = table.values
     scores = v.scores
-    masks = np.arange(1 << n, dtype=np.int64)
+    magnitude = np.abs(values)
     active = np.abs(scores) > tol.absolute
+    active_mask = sum(1 << f for f in range(n) if active[f])
 
     worst = 0.0
     witness = None
-    # Item 1, ascending subset scan.
-    for s in np.flatnonzero(np.abs(values) > tol.absolute):
-        members = [f for f in range(n) if (int(s) >> f) & 1]
-        if any(active[f] for f in members):
-            continue
-        residual = abs(float(values[s]))
-        if residual > worst:
-            worst = residual
-            peak = max((abs(float(scores[f])) for f in members), default=0.0)
-            witness = Witness(subset=int(s), lhs=float(values[s]), rhs=peak)
+    # Item 1: valued subsets without an active member; the first maximum wins.
+    silent = (magnitude > tol.absolute) & (np.arange(1 << n) & active_mask == 0)
+    s = int(np.argmax(np.where(silent, magnitude, 0.0)))
+    if silent[s]:
+        worst = float(magnitude[s])
+        peak = max((abs(float(scores[f])) for f in indices_of(s)), default=0.0)
+        witness = Witness(subset=s, lhs=float(values[s]), rhs=peak)
     # Item 2, ascending feature scan.
     for f in range(n):
         if not active[f]:
             continue
-        bit = 1 << f
-        sub = masks[(masks >> f) & 1 == 0]
-        top = float(np.max(np.abs(values[sub | bit] - values[sub])))
+        top = float(np.max(np.abs(_marginals(values, n, f))))
         if top > tol.absolute:
             continue
         residual = abs(float(scores[f]))
@@ -293,7 +287,7 @@ def check_triviality(
             witness = Witness(feature=f, lhs=float(scores[f]), rhs=top)
     if witness is not None:
         return AxiomReport("triviality", False, worst, tol.absolute, witness=witness)
-    if not np.any(np.abs(values) > tol.absolute) and not np.any(active):
+    if not np.any(magnitude > tol.absolute) and not np.any(active):
         return _vacuous("triviality", tol, "all values and all scores are zero")
     return _passed("triviality", tol)
 
@@ -367,6 +361,18 @@ def check_data_model_equivalence(
     )
 
 
+def _swap_spread(values: np.ndarray, n: int, f1: int, f2: int, variant: str) -> float:
+    """Largest value change from putting f2 in place of f1 (f1 < f2) in
+    a context: contexts excluding both (z_pair) or all contexts (z_empty)."""
+    without_f2, with_f2 = _halves(values, n, f2)
+    _, only_f1 = _halves(without_f2, n - 1, f1)
+    only_f2, both = _halves(with_f2, n - 1, f1)
+    gaps = [only_f1 - only_f2]
+    if variant == "z_empty":
+        gaps += [only_f1 - both, both - only_f2]
+    return max(float(np.max(np.abs(gap))) for gap in gaps)
+
+
 def check_symmetry(
     table: ValueTable,
     v: ImportanceVector,
@@ -384,16 +390,16 @@ def check_symmetry(
     if variant not in SYMMETRY_VARIANTS:
         raise TableError(f"unknown symmetry variant {variant!r}; expected {SYMMETRY_VARIANTS}")
     values = table.values
-    masks = np.arange(1 << table.n, dtype=np.int64)
     worst = 0.0
     witness = None
     any_pair = False
     for f1 in range(table.n):
         for f2 in range(f1 + 1, table.n):
-            b1, b2 = 1 << f1, 1 << f2
-            contexts = masks if variant == "z_empty" else masks[(masks & (b1 | b2)) == 0]
-            spread = float(np.max(np.abs(values[contexts | b1] - values[contexts | b2])))
-            if spread > tol.absolute:
+            # The empty context belongs to both variants, so a gap between
+            # the singletons already rules the pair out.
+            if abs(float(values[1 << f1] - values[1 << f2])) > tol.absolute:
+                continue
+            if _swap_spread(values, table.n, f1, f2, variant) > tol.absolute:
                 continue
             any_pair = True
             gap = abs(float(v.scores[f1] - v.scores[f2]))
@@ -428,11 +434,6 @@ def check_separable_importance(
     for every feature, the subset must be separable. Each direction is
     vacuous when its hypothesis fails.
     """
-    if table.n > SEPARABLE_IMPORTANCE_MAX_FEATURES:
-        raise CapExceededError(
-            f"separable-importance audit is capped at "
-            f"{SEPARABLE_IMPORTANCE_MAX_FEATURES} features, got n={table.n}"
-        )
     if not 0 <= subset <= table.full_mask:
         raise TableError(f"subset mask {subset} out of range for n={table.n}")
     sep = is_separable(table, subset, tol)

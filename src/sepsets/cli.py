@@ -8,7 +8,8 @@ tolerance in force, and a content hash of the input so results can be
 tied back to exactly what produced them.
 
 Exit codes: 0 on success, 1 on usage, parse, or validation errors,
-3 when ``--fail-on-violation`` is set and an audit check failed.
+3 when ``--fail-on-violation`` is set and an audit check failed, or
+when ``partition --with-oracle`` disagrees with the exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .axioms import (
-    ELIMINATION_MAX_FEATURES,
     AxiomReport,
     check_elimination,
     check_empty_set,
@@ -351,9 +351,8 @@ def run_scores(args) -> int:
 
 def _audit_table_rows(
     table: ValueTable, label: str, methods: list[ScoreMethod], tol: Tolerance
-) -> tuple[list[tuple[str, AxiomReport]], list[str]]:
+) -> list[tuple[str, AxiomReport]]:
     rows: list[tuple[str, AxiomReport]] = []
-    notes: list[str] = []
     rows.append((f"empty_set_value[{label}]", check_empty_set(table, tol)))
     rows.append((f"monotonicity[{label}]", check_monotonicity(table, tol)))
     for m in methods:
@@ -373,14 +372,8 @@ def _audit_table_rows(
                     check_symmetry(table, v, variant, tol),
                 )
             )
-        if table.n <= ELIMINATION_MAX_FEATURES:
-            rows.append((f"elimination[{label},{m.value}]", check_elimination(m, table, tol)))
-        else:
-            notes.append(
-                f"elimination[{label},{m.value}] skipped: n={table.n} exceeds "
-                f"cap {ELIMINATION_MAX_FEATURES}"
-            )
-    return rows, notes
+        rows.append((f"elimination[{label},{m.value}]", check_elimination(m, table, tol)))
+    return rows
 
 
 def run_audit(args) -> int:
@@ -396,11 +389,9 @@ def run_audit(args) -> int:
     payload_kind = _sniff(payload)
     if payload_kind == "table":
         table = table_from_dict(payload, max_features=args.max_features)
-        t_rows, t_notes = _audit_table_rows(table, "table", methods, tol)
-        rows += t_rows
-        notes += t_notes
+        rows += _audit_table_rows(table, "table", methods, tol)
     elif payload_kind == "space":
-        space: SampleSpace = space_from_dict(payload)
+        space: SampleSpace = space_from_dict(payload, max_features=args.max_features)
         mean = global_table(space)
         rows.append(("value_consistency[global]", check_value_consistency(space, mean, tol)))
         notes.append(
@@ -411,9 +402,7 @@ def run_audit(args) -> int:
             rows.append(
                 (f"importance_consistency[{m.value}]", check_importance_consistency(space, m, tol))
             )
-        t_rows, t_notes = _audit_table_rows(mean, "global", methods, tol)
-        rows += t_rows
-        notes += t_notes
+        rows += _audit_table_rows(mean, "global", methods, tol)
     else:
         raise _UsageError(f"audit expects a value table or sample space, got a {payload_kind} file")
 
@@ -465,7 +454,7 @@ def run_partition(args) -> int:
                 f"vs exhaustive {oracle.block_indices()}",
                 file=sys.stderr,
             )
-            return _EXIT_USAGE
+            return _EXIT_VIOLATION
     if args.partition_out is not None:
         args.partition_out.write_text(
             json.dumps(partition_to_dict(partition), indent=2, sort_keys=True) + "\n",

@@ -21,12 +21,23 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Iterator
 
 import numpy as np
 
 from .errors import TableError
 from .separability import Partition
-from .subset_algebra import DEFAULT_TOL, Tolerance, ValueTable, popcount_table
+from .subset_algebra import (
+    DEFAULT_TOL,
+    Tolerance,
+    ValueTable,
+    _context_mask,
+    _halves,
+    _marginals,
+    _subset_transform,
+    mobius_transform,
+    popcount_table,
+)
 
 
 class ScoreMethod(enum.Enum):
@@ -100,17 +111,11 @@ class ImportanceVector:
         return int(self.scores.shape[0])
 
 
-def _contexts(n: int, f: int) -> np.ndarray:
-    masks = np.arange(1 << n, dtype=np.int64)
-    return masks[(masks >> f) & 1 == 0]
-
-
 def _score_one(
     method: ScoreMethod,
     table: ValueTable,
     f: int,
-    pop: np.ndarray | None,
-    weights: np.ndarray | None,
+    context_weights: np.ndarray | None,
 ) -> tuple[float, int | None]:
     v = table.values
     bit = 1 << f
@@ -118,41 +123,73 @@ def _score_one(
         return float(v[bit]), None
     if method is ScoreMethod.ABLATION:
         return float(v[table.full_mask] - v[table.full_mask ^ bit]), None
-    sub = _contexts(table.n, f)
-    diffs = v[sub | bit] - v[sub]
+    diffs = _marginals(v, table.n, f)
     if method is ScoreMethod.SHAPLEY:
-        assert pop is not None and weights is not None
-        return float(weights[pop[sub]] @ diffs), None
+        assert context_weights is not None
+        return float(context_weights @ diffs), None
     if method is ScoreMethod.MCI:
-        # argmax picks the first maximizer; sub is ascending, so that is
-        # the lowest-bitmask witness.
+        # argmax picks the first maximizer; contexts run in ascending
+        # mask order, so that is the lowest-bitmask witness.
         best = int(np.argmax(diffs))
-        return float(diffs[best]), int(sub[best])
+        return float(diffs[best]), _context_mask(best, f)
     raise TableError(f"unhandled method {method!r}")
 
 
-def _precompute(method: ScoreMethod, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _context_weights(method: ScoreMethod, n: int) -> np.ndarray | None:
+    """Shapley weight of each context of a feature, in :func:`_marginals` order."""
     if method is ScoreMethod.SHAPLEY:
-        return popcount_table(n), shapley_weights(n)
-    return None, None
+        return shapley_weights(n)[popcount_table(n - 1)]
+    return None
+
+
+def _subgame_scores(method: ScoreMethod, table: ValueTable) -> Iterator[np.ndarray]:
+    """Yield, feature by feature, the feature's score in every subgame containing it.
+
+    Entry c of feature f's array scores f in the subgame on
+    ``_context_mask(c, f) | 1 << f``, so the last entry is the full game.
+    A subgame keeps the values of its subsets, hence f's marginals over
+    the contexts inside it and the dividends of its subsets; each rule
+    then needs one O(n * 2^n) pass at most:
+
+    * bivariate: the constant v({f});
+    * ablation: f's marginals themselves;
+    * mci: subset maxima of f's marginals;
+    * shapley: subset sums of d(W) / |W| over the W containing f.
+
+    One array lives at a time, so memory stays O(2^n).
+    """
+    n = table.n
+    if method is ScoreMethod.SHAPLEY:
+        dividends = mobius_transform(table).dividends
+        sizes = (popcount_table(n - 1) + 1.0).reshape((2,) * (n - 1))
+    for f in range(n):
+        if method is ScoreMethod.BIVARIATE:
+            yield np.full(1 << (n - 1), table.values[1 << f])
+        elif method is ScoreMethod.SHAPLEY:
+            _, with_f = _halves(dividends, n, f)
+            yield _subset_transform(np.reshape(with_f / sizes, -1), n - 1, np.add)
+        else:
+            scores = _marginals(table.values, n, f)
+            if method is ScoreMethod.MCI:
+                _subset_transform(scores, n - 1, np.maximum)
+            yield scores
 
 
 def score(method: ScoreMethod, table: ValueTable, f: int) -> float:
     """Importance of feature ``f`` under ``method``."""
     if not 0 <= f < table.n:
         raise TableError(f"feature index {f} out of range for n={table.n}")
-    pop, weights = _precompute(method, table.n)
-    value, _ = _score_one(method, table, f, pop, weights)
+    value, _ = _score_one(method, table, f, _context_weights(method, table.n))
     return value
 
 
 def score_vector(method: ScoreMethod, table: ValueTable) -> ImportanceVector:
     """Scores of every feature, with MCI witness contexts when applicable."""
-    pop, weights = _precompute(method, table.n)
+    weights = _context_weights(method, table.n)
     scores = np.empty(table.n, dtype=np.float64)
     wit: list[int] = []
     for f in range(table.n):
-        scores[f], w = _score_one(method, table, f, pop, weights)
+        scores[f], w = _score_one(method, table, f, weights)
         if w is not None:
             wit.append(w)
     return ImportanceVector(

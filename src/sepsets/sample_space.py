@@ -23,7 +23,7 @@ import numpy as np
 from .axioms import AxiomReport, Witness
 from .errors import DegenerateInputError, TableError
 from .importance import ScoreMethod, score_vector
-from .subset_algebra import DEFAULT_TOL, Tolerance, ValueTable
+from .subset_algebra import DEFAULT_TOL, MAX_FEATURES, Tolerance, ValueTable, new_value_table
 
 _WEIGHT_SUM_SLACK = 1e-12
 
@@ -147,7 +147,8 @@ def space_to_dict(space: SampleSpace) -> dict:
     }
 
 
-def space_from_dict(payload: dict) -> SampleSpace:
+def space_from_dict(payload: dict, *, max_features: int = MAX_FEATURES) -> SampleSpace:
+    """Parse the dict form of :func:`space_to_dict`; each instance obeys the feature cap."""
     if not isinstance(payload, dict) or "n" not in payload or "instances" not in payload:
         raise TableError('a sample space needs keys "n" and "instances"')
     n = payload["n"]
@@ -158,5 +159,7 @@ def space_from_dict(payload: dict) -> SampleSpace:
     for i, row in enumerate(rows):
         if not isinstance(row, dict) or "weight" not in row or "values" not in row:
             raise TableError(f'instance {i} needs keys "weight" and "values"')
-        pairs.append((float(row["weight"]), ValueTable(n, row["values"])))
+        pairs.append(
+            (float(row["weight"]), new_value_table(n, row["values"], max_features=max_features))
+        )
     return SampleSpace(n, tuple(pairs))

@@ -9,7 +9,8 @@ downstream computation a vectorized gather instead of a dict walk.
 The Moebius transform rewrites a table into interaction dividends:
 ``dividend(W) = sum over V subset of W of (-1)^|W minus V| * value(V)``.
 The zeta transform is its inverse (plain subset sums). Both run in
-O(n * 2^n) by the standard one-bit-at-a-time in-place pass.
+O(n * 2^n) by the standard one-bit-at-a-time in-place pass, and the
+same pass with a maximum in place of the sum gives subset maxima.
 """
 
 from __future__ import annotations
@@ -160,19 +161,49 @@ def popcount_table(n: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
 
 
-def _subset_transform(values: np.ndarray, n: int, *, invert: bool) -> np.ndarray:
-    # One in-place pass per bit over a (2,)*n view; bit order is immaterial.
-    out = values.astype(np.float64, copy=True).reshape((2,) * n)
-    for axis in range(n):
-        # The trailing Ellipsis keeps the result an array view even when
-        # no axes remain (n=1), where a bare integer index would copy.
-        lo = out[(slice(None),) * axis + (0, Ellipsis)]
-        hi = out[(slice(None),) * axis + (1, Ellipsis)]
-        if invert:
-            hi -= lo
-        else:
-            hi += lo
-    return out.reshape(-1)
+def _subset_transform(values: np.ndarray, n: int, combine: np.ufunc) -> np.ndarray:
+    """One in-place pass per bit: ``v[T | bit] = combine(v[T | bit], v[T])``.
+
+    ``np.add`` gives subset sums (zeta), ``np.subtract`` the Moebius
+    inverse, ``np.maximum`` subset maxima. ``values`` must be a
+    C-contiguous float64 array of 2^n entries; it is overwritten and
+    returned. The result does not depend on the bit order, but its
+    rounding does, so the order is fixed: highest bit first.
+    """
+    for f in reversed(range(n)):
+        lo, hi = _halves(values, n, f)
+        combine(hi, lo, out=hi)
+    return values
+
+
+def _halves(values: np.ndarray, n: int, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the entries without and with feature ``f``.
+
+    Feature f is axis ``n - 1 - f`` of the ``(2,)*n`` view, so each half
+    has shape ``(2,)*(n-1)`` and, flattened, is indexed by the context
+    with bit f removed (see :func:`_context_mask`).
+    """
+    view = values.reshape((2,) * n)
+    # The trailing Ellipsis keeps each half an array view even when no
+    # axes remain (n=1), where a bare integer index would copy.
+    head = (slice(None),) * (n - 1 - f)
+    return view[head + (0, Ellipsis)], view[head + (1, Ellipsis)]
+
+
+def _marginals(values: np.ndarray, n: int, f: int) -> np.ndarray:
+    """``v[T | f] - v[T]`` for every context T excluding f, flat.
+
+    Entry c belongs to the context ``_context_mask(c, f)``, so the
+    contexts run in ascending mask order.
+    """
+    lo, hi = _halves(values, n, f)
+    return (hi - lo).reshape(-1)
+
+
+def _context_mask(index: int, f: int) -> int:
+    """The mask whose bits outside f spell ``index`` and whose bit f is clear."""
+    low = index & ((1 << f) - 1)
+    return ((index ^ low) << 1) | low
 
 
 def mobius_transform(table: ValueTable) -> MobiusTable:
@@ -181,12 +212,14 @@ def mobius_transform(table: ValueTable) -> MobiusTable:
     Round-tripping through :func:`zeta_transform` reproduces the input
     to within ``1e-12 * max(1, max abs value)``.
     """
-    return MobiusTable(table.n, _subset_transform(table.values, table.n, invert=True))
+    return MobiusTable(table.n, _subset_transform(table.values.copy(), table.n, np.subtract))
 
 
 def zeta_transform(dividends: MobiusTable) -> ValueTable:
     """Rebuild a value table from dividends by subset summation."""
-    return ValueTable(dividends.n, _subset_transform(dividends.dividends, dividends.n, invert=False))
+    return ValueTable(
+        dividends.n, _subset_transform(dividends.dividends.copy(), dividends.n, np.add)
+    )
 
 
 def eliminate(table: ValueTable, drop: int) -> tuple[ValueTable, tuple[int, ...]]:

@@ -14,6 +14,16 @@ def random_table(rng, n, *, zero_empty=True, scale=1.0):
     return new_value_table(n, values)
 
 
+def seeded_table(n, seed, integers):
+    """Normal table, or integers in [-3, 3] whose marginals and their ties are exact."""
+    rng = np.random.default_rng(seed)
+    if not integers:
+        return random_table(rng, n)
+    values = rng.integers(-3, 4, 1 << n).astype(np.float64)
+    values[0] = 0.0
+    return new_value_table(n, values)
+
+
 def random_blocks(rng, n):
     """A random set partition of range(n), as a tuple of bitmasks."""
     k = int(rng.integers(1, n + 1))

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepsets import (
     ALL_METHODS,
     AxiomReport,
-    CapExceededError,
     ImportanceVector,
     OutcomeTable,
     ScoreMethod,
@@ -22,12 +23,14 @@ from sepsets import (
     check_separable_importance,
     check_symmetry,
     check_triviality,
+    eliminate,
     new_value_table,
+    score,
     score_vector,
 )
-from sepsets.axioms import report_rows_markdown
+from sepsets.axioms import Witness, report_rows_markdown
 
-from conftest import random_table
+from conftest import random_table, seeded_table
 
 TOL = Tolerance(1e-9)
 
@@ -115,9 +118,71 @@ def test_ablation_and_shapley_fail_elimination_on_duplicates(toy_table):
     assert ablation.residual == pytest.approx(0.5)
 
 
-def test_elimination_cap():
-    with pytest.raises(CapExceededError):
-        check_elimination(ScoreMethod.BIVARIATE, new_value_table(13, np.zeros(1 << 13)), TOL)
+def elimination_by_drops(method, table, tol):
+    """The per-drop sweep that check_elimination replaced, kept as its
+    reference: eliminate every nonempty proper subset, rescore the rest."""
+    base = score_vector(method, table).scores
+    worst = 0.0
+    witness = None
+    for drop in range(1, table.full_mask):
+        restricted, kept = eliminate(table, drop)
+        sub_scores = score_vector(method, restricted).scores
+        for new_idx, old_idx in enumerate(kept):
+            rise = float(sub_scores[new_idx] - base[old_idx])
+            if rise > worst:
+                worst = rise
+                witness = Witness(
+                    subset=drop,
+                    feature=old_idx,
+                    lhs=float(base[old_idx]),
+                    rhs=float(sub_scores[new_idx]),
+                )
+    if tol.within(worst):
+        return AxiomReport("elimination", True, worst, tol.absolute)
+    return AxiomReport("elimination", False, worst, tol.absolute, witness=witness)
+
+
+ORACLE_CASES = (
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*ORACLE_CASES)
+def test_elimination_matches_per_drop_oracle_bit_for_bit(n, seed, integers):
+    # Subgame scores of these rules are the oracle's numbers exactly, so
+    # residual and witness agree bit for bit, ties included.
+    table = seeded_table(n, seed, integers)
+    for method in (ScoreMethod.BIVARIATE, ScoreMethod.ABLATION, ScoreMethod.MCI):
+        report = check_elimination(method, table, TOL)
+        assert repr(report) == repr(elimination_by_drops(method, table, TOL))
+
+
+@settings(max_examples=40, deadline=None)
+@given(*ORACLE_CASES)
+def test_shapley_elimination_matches_per_drop_oracle(n, seed, integers):
+    # The closed form sums dividends where the oracle weights marginals,
+    # so rises tied up to rounding may pick another witness; the witness
+    # must still replay to the residual.
+    table = seeded_table(n, seed, integers)
+    report = check_elimination(ScoreMethod.SHAPLEY, table, TOL)
+    oracle = elimination_by_drops(ScoreMethod.SHAPLEY, table, TOL)
+    assert abs(report.residual - oracle.residual) <= 1e-12
+    assert report.passed == oracle.passed
+    if report.witness is not None:
+        w = report.witness
+        restricted, kept = eliminate(table, w.subset)
+        after = score(ScoreMethod.SHAPLEY, restricted, kept.index(w.feature))
+        before = score(ScoreMethod.SHAPLEY, table, w.feature)
+        assert abs((after - before) - report.residual) <= 1e-12
+
+
+def test_elimination_runs_past_twelve_features():
+    for method in ALL_METHODS:
+        report = check_elimination(method, new_value_table(13, np.zeros(1 << 13)), TOL)
+        assert report.passed and report.residual == 0.0
 
 
 def test_minimalism_reference_is_mci(rng, toy_table):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sepsets import ScoreMethod, new_value_table, score_vector, table_to_dict
+from sepsets import Partition, ScoreMethod, new_value_table, score_vector, table_to_dict
 from sepsets.cli import main
 
 from conftest import TOY_VALUES
@@ -163,6 +163,16 @@ def test_audit_sample_space(capsys, tmp_path):
     assert "value_consistency[global]" not in report["violations"]
 
 
+def test_audit_sample_space_respects_max_features(capsys, tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(
+        json.dumps({"n": 4, "instances": [{"weight": 1.0, "values": [0.0] * 16}]})
+    )
+    code, _, err = run(capsys, ["audit", str(space), "--max-features", "3"])
+    assert code == 1
+    assert "cap of 3 features" in err
+
+
 def test_audit_rejects_partition_files(capsys, tmp_path):
     part = tmp_path / "part.json"
     part.write_text(json.dumps({"n": 2, "blocks": [[0], [1]]}))
@@ -191,6 +201,16 @@ def test_partition_command(capsys, toy_table_file, tmp_path):
     assert saved["blocks"] == [[0, 1], [2]]
     for entry in report["block_reports"]:
         assert entry["separable"]
+
+
+def test_partition_oracle_disagreement_exits_3(capsys, toy_table_file, monkeypatch):
+    # Singletons split the toy table's connected pair {0, 1}.
+    monkeypatch.setattr(
+        "sepsets.cli.maximal_partition", lambda table, tol: Partition.singletons(table.n)
+    )
+    code, _, err = run(capsys, ["partition", str(toy_table_file), "--with-oracle"])
+    assert code == 3
+    assert "error: oracle disagreement: fast ((0,), (1,), (2,)) vs exhaustive ((0, 1), (2,))" in err
 
 
 def test_partition_oracle_cap(capsys, tmp_path):

@@ -25,8 +25,9 @@ from sepsets import (
     score_vector,
     shapley_weights,
 )
+from sepsets.subset_algebra import popcount_table
 
-from conftest import random_table
+from conftest import random_table, seeded_table
 
 
 def shapley_by_permutations(table, f):
@@ -53,6 +54,49 @@ def mci_by_enumeration(table, f):
         if diff > best:
             best, best_mask = diff, s
     return best, best_mask
+
+
+def score_vector_by_gather(method, table):
+    """The mask-and-filter route that score_vector replaced, kept as its reference.
+
+    Returns the scores and, for MCI, the witness contexts.
+    """
+    n, v, full = table.n, table.values, table.full_mask
+    masks = np.arange(1 << n, dtype=np.int64)
+    pop, weights = popcount_table(n), shapley_weights(n)
+    scores, witnesses = np.empty(n), []
+    for f in range(n):
+        bit = 1 << f
+        if method is ScoreMethod.BIVARIATE:
+            scores[f] = v[bit]
+            continue
+        if method is ScoreMethod.ABLATION:
+            scores[f] = v[full] - v[full ^ bit]
+            continue
+        sub = masks[(masks >> f) & 1 == 0]
+        diffs = v[sub | bit] - v[sub]
+        if method is ScoreMethod.SHAPLEY:
+            scores[f] = weights[pop[sub]] @ diffs
+        else:
+            best = int(np.argmax(diffs))
+            scores[f] = diffs[best]
+            witnesses.append(int(sub[best]))
+    return scores, tuple(witnesses) if method is ScoreMethod.MCI else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+def test_score_vector_is_byte_identical_to_gather_route(n, seed, integers):
+    table = seeded_table(n, seed, integers)
+    for method in ALL_METHODS:
+        vec = score_vector(method, table)
+        scores, witnesses = score_vector_by_gather(method, table)
+        assert vec.scores.tobytes() == scores.tobytes()
+        assert vec.witnesses == witnesses
 
 
 def test_shapley_matches_permutation_oracle(rng):
