@@ -17,9 +17,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
+import itertools
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -196,10 +199,17 @@ def console_main() -> None:
 # ---------------------------------------------------------------- input handling
 
 
+def _not_utf8(path: Path) -> _UsageError:
+    return _UsageError(f"{path}: not UTF-8 text")
+
+
 def _read_json(path: Path) -> tuple[dict, str]:
     raw = path.read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    return json.loads(raw.decode("utf-8")), digest
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    return json.loads(text), hashlib.sha256(raw).hexdigest()
 
 
 def _sniff(payload: dict) -> str:
@@ -217,16 +227,33 @@ def _sniff(payload: dict) -> str:
     )
 
 
+def _csv_rows(path: Path, raw: bytes) -> Iterator[list[str]]:
+    """Nonblank CSV rows, decoded a row at a time.
+
+    Holding the whole text, or every row as strings, would add megabytes
+    to the peak memory on large files.
+    """
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
+    try:
+        yield from (r for r in reader if r and any(cell.strip() for cell in r))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
 def _load_csv(
-    path: Path, target: str, weight_col: str | None
+    path: Path, raw: bytes, target: str, weight_col: str | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[str], float]:
-    """CSV rows to arrays. Malformed cells are reported by coordinate."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if len(rows) < 2:
+    """CSV file contents to arrays. Malformed cells are reported by coordinate."""
+    rows = _csv_rows(path, raw)
+    header, first = next(rows, None), next(rows, None)
+    if first is None:
         raise _UsageError(f"{path}: need a header row and at least one data row")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in header]
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise _UsageError(f"{path}: column {name!r} appears more than once in the header")
+        seen.add(name)
     if target not in header:
         raise _UsageError(f"{path}: no column named {target!r}; columns are {header}")
     if weight_col is not None and weight_col not in header:
@@ -248,7 +275,7 @@ def _load_csv(
     w_idx = header.index(weight_col) if weight_col is not None else None
     f_idx = [header.index(name) for name in feature_names]
     X, y, w = [], [], []
-    for row_no, row in enumerate(rows[1:], start=2):
+    for row_no, row in enumerate(itertools.chain([first], rows), start=2):
         if len(row) != len(header):
             raise _UsageError(
                 f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
@@ -262,25 +289,37 @@ def _load_csv(
     return np.array(X), np.array(y), weights, feature_names, raw_sum
 
 
+def _csv_table(args) -> tuple[ValueTable, int, list[str], list[str], str]:
+    """The fit-quality table of a CSV dataset, held to the dataset cap.
+
+    Returns the table, the row count, the feature names, notes for the
+    report and the input digest.
+    """
+    raw = args.input.read_bytes()
+    X, y, w, names, raw_sum = _load_csv(args.input, raw, args.target, args.weight_col)
+    data = new_dataset(X, y, w)
+    table = r2_value_table(data, max_features=min(args.max_features, DATASET_MAX_FEATURES))
+    notes = []
+    if w is not None and abs(raw_sum - 1.0) > 1e-12:
+        notes.append(f"weight column summed to {raw_sum:.12g}; weights normalized")
+    return table, data.m, names, notes, hashlib.sha256(raw).hexdigest()
+
+
 def _table_from_input(args) -> tuple[ValueTable, str, dict]:
     """A value table from either a JSON table file or a CSV dataset."""
-    extras: dict = {}
     if args.input.suffix.lower() == ".csv":
         if args.target is None:
             raise _UsageError("CSV input needs --target")
-        X, y, w, names, raw_sum = _load_csv(args.input, args.target, args.weight_col)
-        digest = hashlib.sha256(args.input.read_bytes()).hexdigest()
-        data = new_dataset(X, y, w)
-        table = r2_value_table(data, max_features=min(args.max_features, DATASET_MAX_FEATURES))
-        extras["features"] = names
-        if w is not None and abs(raw_sum - 1.0) > 1e-12:
-            extras["notes"] = [f"weight column summed to {raw_sum:.12g}; weights normalized"]
+        table, _, names, notes, digest = _csv_table(args)
+        extras: dict = {"features": names}
+        if notes:
+            extras["notes"] = notes
         return table, digest, extras
     payload, digest = _read_json(args.input)
     kind = _sniff(payload)
     if kind != "table":
         raise _UsageError(f"expected a value table or CSV dataset, got a {kind} file")
-    return table_from_dict(payload, max_features=args.max_features), digest, extras
+    return table_from_dict(payload, max_features=args.max_features), digest, {}
 
 
 def _methods(args) -> list[ScoreMethod]:
@@ -474,19 +513,13 @@ def run_partition(args) -> int:
 def run_eval_dataset(args) -> int:
     if args.input.suffix.lower() != ".csv":
         raise _UsageError("eval-dataset expects a CSV file")
-    X, y, w, names, raw_sum = _load_csv(args.input, args.target, args.weight_col)
-    digest = hashlib.sha256(args.input.read_bytes()).hexdigest()
-    data = new_dataset(X, y, w)
-    table = r2_value_table(data, max_features=args.max_features)
+    table, rows, names, notes, digest = _csv_table(args)
     _tol(args)
-    notes = []
-    if w is not None and abs(raw_sum - 1.0) > 1e-12:
-        notes.append(f"weight column summed to {raw_sum:.12g}; weights normalized")
     args.table_out.write_text(
         json.dumps(table_to_dict(table), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     report = {
-        "rows": data.m,
+        "rows": rows,
         "n": table.n,
         "features": names,
         "empty_set_value": float(table.values[0]),
@@ -495,7 +528,7 @@ def run_eval_dataset(args) -> int:
         "notes": notes,
     }
     lines = [
-        f"- rows: {data.m}",
+        f"- rows: {rows}",
         f"- features: {', '.join(names)}",
         f"- full-set value: {report['full_set_value']:.12g}",
         f"- table written to: {args.table_out}",

@@ -291,6 +291,49 @@ def test_csv_ragged_row(capsys, tmp_path):
     assert "row 3" in err
 
 
+def test_csv_repeated_header_name(capsys, tmp_path):
+    # Looking columns up by name would read the first "a" twice and
+    # silently drop the second.
+    csv_path = tmp_path / "repeated.csv"
+    csv_path.write_text("a,y,a\n1.0,2.0,3.0\n4.0,5.0,7.0\n")
+    code, _, err = run(
+        capsys,
+        ["eval-dataset", str(csv_path), "--target", "y", "--table-out", str(tmp_path / "t.json")],
+    )
+    assert code == 1
+    assert "'a'" in err and "more than once" in err
+
+
+@pytest.mark.parametrize(
+    "name, content, command, options",
+    [
+        ("bad.json", b'{"n": 1, "values": "\xff"}', "partition", []),
+        ("bad.csv", b"a,y\n1.0,\xff\n", "eval-dataset", ["--target", "y", "--table-out", "t.json"]),
+    ],
+    ids=["json", "csv"],
+)
+def test_non_utf8_input_exits_one(capsys, tmp_path, name, content, command, options):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, _, err = run(capsys, [command, str(path), *options])
+    assert code == 1
+    assert f"{path}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("command", ["eval-dataset", "scores"])
+def test_csv_dataset_cap_holds_under_a_larger_max_features(capsys, tmp_path, command):
+    csv_path = tmp_path / "wide.csv"
+    header = [f"f{i}" for i in range(17)] + ["y"]
+    csv_path.write_text(",".join(header) + "\n" + ",".join(["1.0"] * 18) + "\n")
+    argv = [command, str(csv_path), "--target", "y", "--max-features", "20"]
+    if command == "eval-dataset":
+        argv += ["--table-out", str(tmp_path / "t.json")]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert "dataset has 17 features; table construction is capped at 16" in err
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_demo_commands(capsys):
     for name in ("mci-nonlinearity", "twin-features", "collider", "toy-separable"):
         code, out, _ = run(capsys, ["demo", name])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepsets import (
     CapExceededError,
@@ -9,6 +11,7 @@ from sepsets import (
     OutcomeTable,
     TableError,
     grid_to_dataset,
+    indices_of,
     model_value_table,
     new_dataset,
     null_feature_residual,
@@ -168,3 +171,66 @@ def test_constant_column_explains_weighted_mean(rng):
     tss = float(w @ (y * y))
     explained = 1.0 - float(w @ ((y - mean) ** 2)) / tss
     assert table.values[1] == pytest.approx(explained, abs=1e-12)
+
+
+def r2_table_by_lstsq(data):
+    """The per-subset route that r2_value_table replaced, kept as its
+    reference: one minimum-norm lstsq fit of the full weighted design
+    per subset, with the same relative singular-value cutoff."""
+    sw = np.sqrt(data.w)
+    target = data.y * sw
+    tss = float(target @ target)
+    values = np.zeros(1 << data.n)
+    for mask in range(1, 1 << data.n):
+        design = data.X[:, list(indices_of(mask))] * sw[:, None]
+        coef, *_ = np.linalg.lstsq(design, target, rcond=1e-10)
+        resid = design @ coef - target
+        values[mask] = 1.0 - float(resid @ resid) / tss
+    return values
+
+
+@st.composite
+def seeded_datasets(draw):
+    """Up to 6 features and 1 to 40 rows, so fewer rows than n + 1 is
+    common; some rows carry zero weight and the last column may copy the
+    first. Small-integer cells also give exact collinearity and zero columns."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=40))
+    zero_rows = draw(st.integers(min_value=0, max_value=m - 1))
+    duplicate = draw(st.booleans())
+    integers = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    X = rng.integers(-2, 3, size=(m, n)).astype(np.float64) if integers else rng.normal(size=(m, n))
+    if duplicate:
+        X[:, -1] = X[:, 0]
+    y = rng.normal(size=m)
+    w = rng.uniform(0.1, 1.0, size=m)
+    w[rng.permutation(m)[:zero_rows]] = 0.0
+    return new_dataset(X, y, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_datasets())
+def test_table_matches_per_subset_lstsq(data):
+    values = r2_value_table(data).values
+    assert values[0] == 0.0
+    assert np.max(np.abs(values - r2_table_by_lstsq(data))) <= 1e-12
+
+
+def test_scaling_a_column_moves_no_value(rng):
+    # Units must not matter. Solving for the coefficients keeps this
+    # within rounding; reading the fit off the SVD's U (U U^T r_y) does
+    # not, since U's direction for the tiny column is only accurate
+    # relative to that column's size.
+    X = rng.normal(size=(500, 8))
+    X[:, 7] = X[:, 0]
+    y = X @ rng.normal(size=8) + 0.1 * rng.normal(size=500)
+    w = rng.uniform(0.1, 1.0, size=500)
+    base = r2_value_table(new_dataset(X, y, w)).values
+    for f in range(7):
+        scaled = X.copy()
+        scaled[:, f] *= 1e-6
+        data = new_dataset(scaled, y, w)
+        values = r2_value_table(data).values
+        assert np.max(np.abs(values - base)) <= 1e-12
+        assert np.max(np.abs(values - r2_table_by_lstsq(data))) <= 1e-12
