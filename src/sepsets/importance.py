@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import TableError
-from .separability import Partition
+from .separability import Partition, block_unions
 from .subset_algebra import (
     DEFAULT_TOL,
     Tolerance,
@@ -35,6 +35,8 @@ from .subset_algebra import (
     _halves,
     _marginals,
     _subset_transform,
+    eliminate,
+    mix,
     mobius_transform,
     popcount_table,
 )
@@ -204,8 +206,6 @@ def restricted_score(method: ScoreMethod, table: ValueTable, subset: int, f: int
     and the feature is scored at its remapped index. ``f`` must belong
     to ``subset``.
     """
-    from .subset_algebra import eliminate  # local to avoid a wide import surface
-
     if not 0 <= f < table.n:
         raise TableError(f"feature index {f} out of range for n={table.n}")
     if not (subset >> f) & 1:
@@ -231,8 +231,6 @@ def restricted_vector(
         return out
     if subset == table.full_mask:
         return score_vector(method, table).scores.copy()
-    from .subset_algebra import eliminate
-
     restricted, kept = eliminate(table, table.full_mask ^ subset)
     sub_scores = score_vector(method, restricted).scores
     for new_idx, old_idx in enumerate(kept):
@@ -254,12 +252,7 @@ def grouped_score_vector(
         raise TableError(
             f"partition over {partition.n} features cannot group a table over {table.n}"
         )
-    k = len(partition.blocks)
-    meta_masks = np.arange(1 << k, dtype=np.int64)
-    unions = np.zeros(1 << k, dtype=np.int64)
-    for j, block in enumerate(partition.blocks):
-        unions[(meta_masks >> j) & 1 == 1] |= block
-    meta = ValueTable(k, table.values[unions])
+    meta = ValueTable(len(partition.blocks), table.values[block_unions(partition)])
     return score_vector(method, meta).scores.copy()
 
 
@@ -286,8 +279,6 @@ def check_linearity(
     tol: Tolerance = DEFAULT_TOL,
 ) -> LinearityReport:
     """Compare score-of-mixture against mixture-of-scores."""
-    from .subset_algebra import mix
-
     mixed = score_vector(method, mix(first, second, alpha)).scores
     combined = (
         alpha * score_vector(method, first).scores

@@ -23,7 +23,14 @@ import numpy as np
 from .axioms import AxiomReport, Witness
 from .errors import DegenerateInputError, TableError
 from .importance import ScoreMethod, score_vector
-from .subset_algebra import DEFAULT_TOL, MAX_FEATURES, Tolerance, ValueTable, new_value_table
+from .subset_algebra import (
+    DEFAULT_TOL,
+    MAX_FEATURES,
+    Tolerance,
+    ValueTable,
+    json_reals,
+    table_from_dict,
+)
 
 _WEIGHT_SUM_SLACK = 1e-12
 
@@ -155,11 +162,12 @@ def space_from_dict(payload: dict, *, max_features: int = MAX_FEATURES) -> Sampl
     rows: Sequence = payload["instances"]
     if not isinstance(rows, list) or not rows:
         raise TableError('"instances" must be a nonempty list')
-    pairs = []
     for i, row in enumerate(rows):
         if not isinstance(row, dict) or "weight" not in row or "values" not in row:
             raise TableError(f'instance {i} needs keys "weight" and "values"')
-        pairs.append(
-            (float(row["weight"]), new_value_table(n, row["values"], max_features=max_features))
-        )
-    return SampleSpace(n, tuple(pairs))
+    weights = json_reals([row["weight"] for row in rows], "weight")
+    tables = [
+        table_from_dict({"n": n, "values": row["values"]}, max_features=max_features)
+        for row in rows
+    ]
+    return SampleSpace(n, tuple(zip(weights, tables)))

@@ -31,10 +31,10 @@ from .subset_algebra import (
     MAX_FEATURES,
     Tolerance,
     ValueTable,
+    _pinned,
     indices_of,
     mask_of,
     mobius_transform,
-    popcount_table,
 )
 
 # Exhaustive enumeration is 4^n work; past this it stops being a sane oracle.
@@ -110,10 +110,11 @@ def is_separable(
     """Test the additive split of ``table`` across ``subset``."""
     if not 0 <= subset <= table.full_mask:
         raise TableError(f"subset mask {subset} out of range for n={table.n}")
-    masks = np.arange(1 << table.n, dtype=np.int64)
-    comp = table.full_mask ^ subset
-    v = table.values
-    residuals = np.abs(v - v[masks & subset] - v[masks & comp])
+    n = table.n
+    view = table.values.reshape((2,) * n)
+    inside = view[_pinned(n, table.full_mask ^ subset)]  # v(T & S) for every T
+    outside = view[_pinned(n, subset)]  # v(T - S) for every T
+    residuals = np.abs(view - inside - outside).reshape(-1)
     worst = int(np.argmax(residuals))
     worst_residual = float(residuals[worst])
     return SeparabilityReport(
@@ -135,29 +136,15 @@ def validate_partition(
     return tuple(is_separable(table, block, tol) for block in partition.blocks)
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def maximal_partition(table: ValueTable, tol: Tolerance = DEFAULT_TOL) -> Partition:
     """Coarsest-grained partition into separable blocks.
 
     Two features land in the same block iff some interaction dividend
     with magnitude above ``tol`` covers both; blocks are the connected
-    components of that relation. The result is re-validated as a safety
-    net at a tolerance scaled by the summation depth (2^n, offset by any
+    components of that relation. Each such dividend ties its features
+    to its lowest feature, and the per-feature reaches are merged
+    wherever they overlap. The result is re-validated as a safety net
+    at a tolerance scaled by the summation depth (2^n, offset by any
     residual empty-set value), which the dividend bound guarantees.
 
     Note that when ``value({}) `` itself exceeds ``tol`` no subset is
@@ -165,36 +152,19 @@ def maximal_partition(table: ValueTable, tol: Tolerance = DEFAULT_TOL) -> Partit
     while this routine still returns the interaction structure.
     """
     n = table.n
-    if n == 1:
-        return Partition.singletons(1)
     dividends = mobius_transform(table).dividends
-    above = np.abs(dividends) > tol.absolute
-    pop = popcount_table(n)
-    interacting = above & (pop >= 2)
-    uf = _UnionFind(n)
-    hits = np.flatnonzero(interacting)
-    if hits.size:
-        if hits.size <= 65536:
-            for m in hits:
-                bits = indices_of(int(m))
-                for b in bits[1:]:
-                    uf.union(bits[0], b)
-        else:
-            # Dense dividend sets: a pairwise vectorized sweep beats a
-            # Python loop over up to 2^n masks.
-            masks = np.arange(1 << n, dtype=np.int64)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if uf.find(i) == uf.find(j):
-                        continue
-                    pair = (1 << i) | (1 << j)
-                    if np.any(interacting & ((masks & pair) == pair)):
-                        uf.union(i, j)
-    groups: dict[int, int] = {}
+    # Mask 0 stays out: it has no lowest feature.
+    hits = np.flatnonzero(np.abs(dividends[1:]) > tol.absolute) + 1
+    reach = np.zeros(n, dtype=np.int64)
+    np.bitwise_or.at(reach, np.bitwise_count((hits & -hits) - 1), hits)
+    blocks: list[int] = []
     for f in range(n):
-        root = uf.find(f)
-        groups[root] = groups.get(root, 0) | (1 << f)
-    result = Partition(n, tuple(groups.values()))
+        merged = int(reach[f]) | 1 << f
+        for b in blocks:
+            if b & merged:
+                merged |= b
+        blocks = [b for b in blocks if not b & merged] + [merged]
+    result = Partition(n, tuple(blocks))
     guard = Tolerance((1 << n) * tol.absolute + abs(float(table.values[0])) + tol.absolute)
     for report in validate_partition(table, result, guard):
         if not report.separable:  # pragma: no cover - violates the dividend bound
@@ -251,6 +221,14 @@ def maximal_partition_oracle_sets(
     return out
 
 
+def block_unions(partition: Partition) -> np.ndarray:
+    """Entry h is the union of the blocks whose indices are the bits of h."""
+    unions = np.zeros(1, dtype=np.int64)
+    for block in partition.blocks:
+        unions = np.concatenate((unions, unions | block))
+    return unions
+
+
 def induced_meta_table(
     table: ValueTable, partition: Partition, tol: Tolerance = DEFAULT_TOL
 ) -> ValueTable:
@@ -269,14 +247,10 @@ def induced_meta_table(
             f"(worst residual {bad[0].worst_residual} at context {bad[0].worst_T})"
         )
     k = len(partition.blocks)
-    block_values = np.array([table.values[b] for b in partition.blocks])
-    meta_masks = np.arange(1 << k, dtype=np.int64)
+    unions = block_unions(partition)
     meta = np.zeros(1 << k, dtype=np.float64)
-    unions = np.zeros(1 << k, dtype=np.int64)
-    for j, block in enumerate(partition.blocks):
-        chosen = (meta_masks >> j) & 1 == 1
-        meta[chosen] += block_values[j]
-        unions[chosen] |= block
+    for block in partition.blocks:
+        meta[(unions & block) != 0] += table.values[block]
     slack = tol.absolute * (k + 1)
     drift = float(np.max(np.abs(meta - table.values[unions])))
     if drift > slack:  # pragma: no cover - excluded by the per-block validation

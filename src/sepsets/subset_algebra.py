@@ -15,6 +15,8 @@ same pass with a maximum in place of the sum gives subset maxima.
 
 from __future__ import annotations
 
+import numbers
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -190,6 +192,15 @@ def _halves(values: np.ndarray, n: int, f: int) -> tuple[np.ndarray, np.ndarray]
     return view[head + (0, Ellipsis)], view[head + (1, Ellipsis)]
 
 
+def _pinned(n: int, mask: int) -> tuple[slice, ...]:
+    """Index of the ``(2,)*n`` view fixing the features of ``mask`` absent.
+
+    Fixed axes keep length 1, so the selection broadcasts over the view
+    (entry T reads ``v[T & ~mask]``) and flattens in ascending mask order.
+    """
+    return tuple(slice(0, 1) if mask >> f & 1 else slice(None) for f in reversed(range(n)))
+
+
 def _marginals(values: np.ndarray, n: int, f: int) -> np.ndarray:
     """``v[T | f] - v[T]`` for every context T excluding f, flat.
 
@@ -236,11 +247,8 @@ def eliminate(table: ValueTable, drop: int) -> tuple[ValueTable, tuple[int, ...]
     if drop == table.full_mask:
         raise TableError("cannot eliminate every feature; at least one must survive")
     kept = tuple(i for i in range(table.n) if not (drop >> i) & 1)
-    sub = np.arange(1 << len(kept), dtype=np.int64)
-    orig = np.zeros_like(sub)
-    for new_bit, old_bit in enumerate(kept):
-        orig |= ((sub >> new_bit) & 1) << old_bit
-    return ValueTable(len(kept), table.values[orig]), kept
+    view = table.values.reshape((2,) * table.n)
+    return ValueTable(len(kept), view[_pinned(table.n, drop)].reshape(-1)), kept
 
 
 def mix(first: ValueTable, second: ValueTable, alpha: float) -> ValueTable:
@@ -264,6 +272,22 @@ def table_to_dict(table: ValueTable) -> dict:
     return {"n": table.n, "values": [float(v) for v in table.values]}
 
 
+def json_reals(items: list, what: str) -> np.ndarray:
+    """JSON numbers as float64; a string, object, array, null or boolean is an error."""
+
+    def real(kind: type) -> bool:
+        return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+    # One check per distinct element type keeps this cheap on 2^20 values.
+    if not all(map(real, set(map(type, items)))):
+        at = next(i for i, x in enumerate(items) if not real(type(x)))
+        raise TableError(f"{what} at index {at} must be a number, got {reprlib.repr(items[at])}")
+    try:
+        return np.asarray(items, dtype=np.float64)
+    except OverflowError:
+        raise TableError(f"every {what} must lie within the float range") from None
+
+
 def table_from_dict(payload: dict, *, max_features: int = MAX_FEATURES) -> ValueTable:
     """Parse the dict form produced by :func:`table_to_dict`."""
     if not isinstance(payload, dict) or "n" not in payload or "values" not in payload:
@@ -273,4 +297,4 @@ def table_from_dict(payload: dict, *, max_features: int = MAX_FEATURES) -> Value
     values = payload["values"]
     if not isinstance(values, (list, tuple)):
         raise TableError('"values" must be a list of reals in mask order')
-    return new_value_table(n, values, max_features=max_features)
+    return new_value_table(n, json_reals(values, "value"), max_features=max_features)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sepsets import Partition, ScoreMethod, new_value_table, score_vector, table_to_dict
 from sepsets.cli import main
@@ -332,6 +334,106 @@ def test_csv_dataset_cap_holds_under_a_larger_max_features(capsys, tmp_path, com
     assert code == 1
     assert "dataset has 17 features; table construction is capped at 16" in err
     assert not (tmp_path / "t.json").exists()
+
+
+def _space(weight, values):
+    return {"n": 1, "instances": [{"weight": weight, "values": values}]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 1, "values": [0, "a"]}, "value at index 1 must be a number, got 'a'"),
+        ({"n": 1, "values": [0, {"a": 1}]}, "value at index 1 must be a number"),
+        ({"n": 1, "values": [0, "1.5"]}, "value at index 1 must be a number"),
+        ({"n": 1, "values": [0, True]}, "value at index 1 must be a number"),
+        ({"n": 1, "values": [0, 10**400]}, "every value must lie within the float range"),
+        (_space("x", [0, 1]), "weight at index 0 must be a number"),
+        (_space([1], [0, 1]), "weight at index 0 must be a number"),
+        (_space("0.5", [0, 1]), "weight at index 0 must be a number"),
+        (_space(True, [0, 1]), "weight at index 0 must be a number"),
+        (_space(10**400, [0, 1]), "every weight must lie within the float range"),
+        (_space(1, [0, "1"]), "value at index 1 must be a number"),
+    ],
+    ids=[
+        "value-string",
+        "value-object",
+        "value-numeric-string",
+        "value-bool",
+        "value-huge-integer",
+        "weight-string",
+        "weight-list",
+        "weight-numeric-string",
+        "weight-bool",
+        "weight-huge-integer",
+        "space-value-string",
+    ],
+)
+def test_non_numbers_in_json_exit_one(capsys, tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["audit", str(path)])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and message in lines[0]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+_NUMBER = st.integers() | st.floats()
+
+
+@st.composite
+def _loader_payloads(draw):
+    """A table or sample-space payload over n <= 3, valid or damaged in one place."""
+    n = draw(st.integers(min_value=1, max_value=3))
+
+    def cells():
+        return draw(st.lists(_NUMBER, min_size=1 << n, max_size=1 << n))
+
+    if draw(st.booleans()):
+        payload = {"n": n, "values": cells()}
+        holder = payload
+    else:
+        count = draw(st.integers(1, 3))
+        rows = [{"weight": draw(_NUMBER), "values": cells()} for _ in range(count)]
+        payload = {"n": n, "instances": rows}
+        holder = draw(st.sampled_from(rows))
+    damage = draw(st.sampled_from(["none", "n", "cell", "values", "weight", "instances"]))
+    if damage == "n":
+        payload["n"] = draw(_JSON)
+    elif damage == "cell":
+        holder["values"][draw(st.integers(0, (1 << n) - 1))] = draw(_JSON)
+    elif damage == "values":
+        holder["values"] = draw(_JSON)
+    elif damage == "weight" and "weight" in holder:
+        holder["weight"] = draw(_JSON)
+    elif damage == "instances" and "instances" in payload:
+        payload["instances"] = draw(_JSON)
+    return payload
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_loader_payloads())
+def test_json_loaders_exit_zero_or_one_with_an_error_line(capsys, tmp_path, payload):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    command = "scores" if "values" in payload else "audit"
+    code, _, err = run(capsys, [command, str(path)])
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_demo_commands(capsys):

@@ -2,32 +2,48 @@
 
 import itertools
 import json
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepsets import (
     DegenerateInputError,
+    MobiusTable,
     NotSeparableError,
     Partition,
     PartitionError,
+    ScoreMethod,
+    SeparabilityReport,
     Tolerance,
     ValueTable,
     closure_check,
     enumerate_separable_sets,
+    grouped_score_vector,
     indices_of,
     induced_meta_table,
     is_separable,
     maximal_partition,
     maximal_partition_oracle,
+    mobius_transform,
     new_value_table,
     partition_from_dict,
     partition_to_dict,
+    score_vector,
     validate_partition,
+    zeta_transform,
 )
 from sepsets.separability import maximal_partition_oracle_sets
 
-from conftest import block_additive_table, random_blocks, random_table, sparse_mobius_table
+from conftest import (
+    block_additive_table,
+    random_blocks,
+    random_table,
+    seeded_table,
+    sparse_mobius_table,
+)
 
 TOL = Tolerance(1e-9)
 
@@ -283,27 +299,151 @@ def _brute_pairs(table, tol):
     return linked
 
 
+def union_find_blocks(n, links):
+    """Connected components of the features under pairwise links, as bitmasks."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for f in range(n):
+        groups[find(f)] = groups.get(find(f), 0) | (1 << f)
+    return tuple(groups.values())
+
+
 def test_partition_components_match_dividend_links(rng):
     # Two features share a block exactly when a chain of straddling
     # dividends connects them.
     for _ in range(10):
         table = sparse_mobius_table(rng, 6, 0.12)
         partition = maximal_partition(table, TOL)
-        links = _brute_pairs(table, TOL)
-        # Union-find over brute-force links.
-        parent = list(range(6))
+        expected = Partition(6, union_find_blocks(6, _brute_pairs(table, TOL)))
+        assert expected.blocks == partition.blocks
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
 
-        for a, b in links:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        expected = {}
-        for f in range(6):
-            expected.setdefault(find(f), []).append(f)
-        assert sorted(map(tuple, expected.values())) == sorted(partition.block_indices())
+# ------------------------------------------------ reference routes, kept for tests
+
+
+def is_separable_by_gather(table, subset, tol):
+    """The mask-gather residual sweep is_separable replaced, kept as its reference."""
+    masks = np.arange(1 << table.n, dtype=np.int64)
+    comp = table.full_mask ^ subset
+    v = table.values
+    residuals = np.abs(v - v[masks & subset] - v[masks & comp])
+    worst = int(np.argmax(residuals))
+    worst_residual = float(residuals[worst])
+    return SeparabilityReport(subset, tol.within(worst_residual), worst, worst_residual)
+
+
+def partition_by_union_find(table, tol):
+    """The per-hit union-find maximal_partition replaced, kept as its reference:
+    every interacting dividend above tol links its lowest feature to the others."""
+    dividends = mobius_transform(table).dividends
+    links = []
+    for m in np.flatnonzero(np.abs(dividends) > tol.absolute):
+        bits = indices_of(int(m))
+        links += [(bits[0], b) for b in bits[1:]]
+    return Partition(table.n, union_find_blocks(table.n, links))
+
+
+def meta_by_masks(table, partition):
+    """Block sums and block unions by per-block mask filters, as the meta
+    table and grouped scores built them before sharing block_unions."""
+    k = len(partition.blocks)
+    meta_masks = np.arange(1 << k, dtype=np.int64)
+    meta = np.zeros(1 << k, dtype=np.float64)
+    unions = np.zeros(1 << k, dtype=np.int64)
+    for j, block in enumerate(partition.blocks):
+        chosen = (meta_masks >> j) & 1 == 1
+        meta[chosen] += table.values[block]
+        unions[chosen] |= block
+    return meta, unions
+
+
+@st.composite
+def oracle_tables(draw, max_n=10):
+    """Sparse, dense, small-integer, additive and block tables, with v({}) zero or not."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    kind = draw(st.sampled_from(["sparse", "dense", "integers", "singletons", "blocks"]))
+    rng = np.random.default_rng(seed)
+    if kind == "sparse":
+        table = sparse_mobius_table(rng, n, float(rng.uniform(0.02, 0.4)))
+    elif kind == "dense":
+        table = random_table(rng, n)
+    elif kind == "integers":
+        table = seeded_table(n, seed, integers=True)
+    elif kind == "singletons":
+        table = block_additive_table(rng, n, tuple(1 << f for f in range(n)))
+    else:
+        table = block_additive_table(rng, n, random_blocks(rng, n))
+    empty_value = draw(st.sampled_from([0.0, 0.75, -2.0]))
+    return ValueTable(n, table.values + empty_value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_tables(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_is_separable_matches_gather_oracle_bit_for_bit(table, seed):
+    full = table.full_mask
+    if table.n <= 6:
+        subsets = range(1 << table.n)
+    else:
+        picks = np.random.default_rng(seed).integers(0, full + 1, 40)
+        subsets = [0, full, *map(int, picks)]
+    for subset in subsets:
+        report = is_separable(table, subset, TOL)
+        assert repr(report) == repr(is_separable_by_gather(table, subset, TOL))
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_tables(), st.sampled_from([1e-9, 0.6, 1.0]))
+def test_partition_matches_union_find_oracle(table, tol):
+    tol = Tolerance(tol)
+    assert maximal_partition(table, tol).blocks == partition_by_union_find(table, tol).blocks
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**32 - 1))
+def test_meta_table_and_grouped_scores_match_mask_filters_bit_for_bit(n, seed):
+    rng = np.random.default_rng(seed)
+    table = block_additive_table(rng, n, random_blocks(rng, n))
+    partition = maximal_partition(table, TOL)
+    meta, unions = meta_by_masks(table, partition)
+    assert induced_meta_table(table, partition, TOL).values.tobytes() == meta.tobytes()
+    union_table = ValueTable(len(partition.blocks), table.values[unions])
+    for method in ScoreMethod:
+        grouped = grouped_score_vector(method, table, partition)
+        assert grouped.tobytes() == score_vector(method, union_table).scores.tobytes()
+
+
+def test_partition_recovers_planted_blocks_past_65536_dividends():
+    # One 17-feature block carries every one of its 131054 interacting
+    # dividends; feature 7 stays alone. The old union step switched to a
+    # pairwise sweep past 65536 of them, which only the benchmark reached.
+    n, alone = 18, 7
+    rng = np.random.default_rng(18)
+    big = ((1 << n) - 1) ^ (1 << alone)
+    masks = np.arange(1 << n, dtype=np.int64)
+    dividends = np.zeros(1 << n)
+    inside = (masks & ~big == 0) & (masks != 0)
+    # |d(W)| in [0.5, 1] / (C(17, |W|) * 17): all far above tol, values of order one.
+    scale = np.array([comb(17, k) * 17.0 for k in range(18)])[np.bitwise_count(masks[inside])]
+    signs = rng.choice((-1.0, 1.0), size=scale.size)
+    dividends[inside] = signs * rng.uniform(0.5, 1.0, scale.size) / scale
+    dividends[1 << alone] = 0.8
+    table = zeta_transform(MobiusTable(n, dividends))
+    interacting = (np.abs(mobius_transform(table).dividends) > TOL.absolute) & (
+        np.bitwise_count(masks) >= 2
+    )
+    assert int(interacting.sum()) > 65536
+    partition = maximal_partition(table, TOL)
+    assert partition.blocks == (big, 1 << alone)
+    assert partition.blocks == partition_by_union_find(table, TOL).blocks

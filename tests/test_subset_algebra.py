@@ -108,6 +108,33 @@ def test_eliminate_is_value_restriction(rng):
         assert restricted.values[sub] == table.values[original]
 
 
+def eliminate_by_gather(table, drop):
+    """The mask-gather restriction eliminate replaced, kept as its reference."""
+    kept = tuple(i for i in range(table.n) if not (drop >> i) & 1)
+    sub = np.arange(1 << len(kept), dtype=np.int64)
+    orig = np.zeros_like(sub)
+    for new_bit, old_bit in enumerate(kept):
+        orig |= ((sub >> new_bit) & 1) << old_bit
+    return table.values[orig], kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=2**10 - 1),
+)
+def test_eliminate_matches_gather_exactly(n, seed, drop):
+    table = random_table(np.random.default_rng(seed), n, zero_empty=False)
+    drop &= table.full_mask
+    if drop == table.full_mask:
+        drop = 0
+    restricted, kept = eliminate(table, drop)
+    values, expected_kept = eliminate_by_gather(table, drop)
+    assert kept == expected_kept
+    assert restricted.values.tobytes() == values.tobytes()
+
+
 def test_mask_helpers_roundtrip():
     assert mask_of([0, 3], 5) == 0b01001
     assert indices_of(0b01001) == (0, 3)
