@@ -38,7 +38,7 @@ from .axioms import (
     check_triviality,
     report_rows_markdown,
 )
-from .dataset_eval import DATASET_MAX_FEATURES, new_dataset, r2_value_table
+from .dataset_eval import new_dataset, r2_value_table
 from .errors import SepsetsError
 from .importance import ALL_METHODS, ScoreMethod, score_vector
 from .sample_space import (
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("input", type=Path)
     p_eval.add_argument("--target", required=True, help="target column name")
     p_eval.add_argument("--weight-col", default=None, help="weight column name")
-    p_eval.add_argument("--max-features", type=int, default=DATASET_MAX_FEATURES)
+    p_eval.add_argument("--max-features", type=int, default=MAX_FEATURES)
     p_eval.add_argument(
         "--table-out", type=Path, required=True, help="write the value-table file here"
     )
@@ -238,6 +238,8 @@ def _csv_rows(path: Path, raw: bytes) -> Iterator[list[str]]:
         yield from (r for r in reader if r and any(cell.strip() for cell in r))
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+    except csv.Error as exc:  # an oversized field, or NUL before Python 3.11
+        raise _UsageError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _load_csv(
@@ -285,12 +287,13 @@ def _load_csv(
         if w_idx is not None:
             w.append(parse(row[w_idx], row_no, weight_col))
     weights = np.array(w) if w_idx is not None else None
-    raw_sum = float(weights.sum()) if weights is not None else 1.0
+    with np.errstate(over="ignore"):  # huge weights sum to inf, and the note says so
+        raw_sum = float(weights.sum()) if weights is not None else 1.0
     return np.array(X), np.array(y), weights, feature_names, raw_sum
 
 
 def _csv_table(args) -> tuple[ValueTable, int, list[str], list[str], str]:
-    """The fit-quality table of a CSV dataset, held to the dataset cap.
+    """The fit-quality table of a CSV dataset, held to the table cap.
 
     Returns the table, the row count, the feature names, notes for the
     report and the input digest.
@@ -298,7 +301,7 @@ def _csv_table(args) -> tuple[ValueTable, int, list[str], list[str], str]:
     raw = args.input.read_bytes()
     X, y, w, names, raw_sum = _load_csv(args.input, raw, args.target, args.weight_col)
     data = new_dataset(X, y, w)
-    table = r2_value_table(data, max_features=min(args.max_features, DATASET_MAX_FEATURES))
+    table = r2_value_table(data, max_features=args.max_features)
     notes = []
     if w is not None and abs(raw_sum - 1.0) > 1e-12:
         notes.append(f"weight column summed to {raw_sum:.12g}; weights normalized")

@@ -6,17 +6,18 @@ columns:
 
     value(S) = 1 - sum_i w_i * (pred_i - y_i)^2 / sum_i w_i * y_i^2
 
-Fits use the minimum-norm solution with a relative singular-value
-cutoff, so duplicated or collinear columns are handled exactly:
-adding a copy of a column never changes the fitted values. The empty
-subset predicts identically zero, giving value 0 exactly.
+A fit is the target's projection onto the span of the subset's
+columns; the empty subset predicts zero, giving value 0 exactly.
 
 All 2^n fits share one Householder QR factorisation of the weighted
-data. It reduces every subset's fit to a problem on at most n + 1 rows
-with the same singular values (and, unlike the normal equations,
-without squaring the condition number), so the number of data rows
-enters only once. Subsets of equal size are then solved together by
-stacked SVDs.
+data, which reduces them to the n + 1 columns of R without squaring
+the condition number. One modified Gram-Schmidt walk over the features
+(Furnival and Wilson's "leaps and bounds" recursion, 1974; backward
+stable for least squares, Bjorck 1967) then projects each feature out
+of every subset's residuals in turn, doubling the subsets per step. A
+column whose residual is within ``_SVD_RCOND`` of its own norm is
+dependent and projects out nothing, so a duplicate never changes a fit
+and a column's units move no value.
 
 Full product grids with per-point model outputs are also supported,
 both as a dataset source and as the domain over which a feature can
@@ -30,20 +31,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CapExceededError, DegenerateInputError, TableError
-from .subset_algebra import ValueTable, new_value_table, popcount_table
+from .errors import DegenerateInputError, TableError
+from .subset_algebra import MAX_FEATURES, ValueTable, check_feature_cap, new_value_table
 
-# Every subset still gets its own small SVD (under 2 s for the 65535
-# subsets at n = 16 on one Xeon core, 41 s at n = 20), so datasets get a
-# stricter cap than hand-built tables.
-DATASET_MAX_FEATURES = 16
-
-# Relative singular-value cutoff for the minimum-norm fit.
+# A column is dependent when its residual is at most this fraction of its norm.
 _SVD_RCOND = 1e-10
 
-# Subsets per stacked SVD. Bounds the gathered (chunk, n + 1, k) blocks
-# and their factors to about 1 MB at n = 16.
-_CHUNK_SUBSETS = 256
+# Features walked inside one block of the table, so the walk's state is
+# at most 2^12 vectors of n + 1 floats (under 1 MB at n = 24). Features
+# above these are walked first; each of their subsets fills one block.
+_BLOCK_FEATURES = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +71,13 @@ class Dataset:
             raise TableError("dataset entries must be finite")
         if np.any(w < 0):
             raise TableError("weights must be nonnegative")
+        # Exact power-of-two scaling keeps the sum of huge weights finite.
+        w = np.ldexp(w, -np.frexp(w.max())[1])
         total = float(w.sum())
         if total <= 0:
             raise DegenerateInputError("weights must not all be zero")
         w = w / total
-        if float(w @ (y * y)) <= 0.0:
+        if not np.any(np.sqrt(w) * y):
             raise DegenerateInputError(
                 "target has zero weighted norm; the fit-quality denominator vanishes"
             )
@@ -110,63 +109,62 @@ def new_dataset(
     return Dataset(X, np.asarray(y, dtype=np.float64), np.asarray(w, dtype=np.float64))
 
 
-def r2_value_table(
-    data: Dataset, *, max_features: int = DATASET_MAX_FEATURES
-) -> ValueTable:
+def r2_value_table(data: Dataset, *, max_features: int = MAX_FEATURES) -> ValueTable:
     """Value table of the built-in fit-quality metric, one entry per subset.
 
-    ``A = [sqrt(w) X | sqrt(w) y]`` is factored once as ``A = Q R``.
-    Since ``A_S = Q R[:, S]`` for every column subset S, each subset's
-    fit is the same problem on the small matrix ``R[:, S]`` against the
-    target column ``r_y``, with the same singular values. Subsets of one
-    size are solved in chunks through one stacked SVD each.
+    Built by the walk described in the module docstring.
     """
     n = data.n
-    if n > max_features:
-        raise CapExceededError(
-            f"dataset has {n} features; table construction is capped at {max_features}"
-        )
-    sw = np.sqrt(data.w)
-    R = np.linalg.qr(np.column_stack([data.X * sw[:, None], data.y * sw]), mode="r")
-    r_y = R[:, n]
-    # Summed exactly as the residuals are, so that a fit that explains
-    # nothing (residual equal to -r_y) gets value 0 exactly.
-    tss = float(np.square(r_y).sum())
-    sizes = popcount_table(n)
-    bits = np.arange(n, dtype=np.int64)
-    values = np.zeros(1 << n, dtype=np.float64)
-    for k in range(1, n + 1):
-        sized = np.flatnonzero(sizes == k)
-        for lo in range(0, sized.size, _CHUNK_SUBSETS):
-            chunk = sized[lo : lo + _CHUNK_SUBSETS]
-            cols = np.nonzero((chunk[:, None] >> bits) & 1)[1].reshape(chunk.size, k)
-            values[chunk] = 1.0 - _residual_energy(R, r_y, cols) / tss
+    check_feature_cap(n, max_features)
+    # Scaling a column by a power of two is exact and moves no value; it
+    # keeps the squares of columns in huge or tiny units in float range.
+    A = np.column_stack([data.X, data.y]) * np.sqrt(data.w)[:, None]
+    np.ldexp(A, -np.frexp(np.abs(A).max(axis=0))[1], out=A)
+    R = np.linalg.qr(A, mode="r")
+    del A  # the data rows are not needed past the factor
+    norms = np.linalg.norm(R, axis=0)
+    low = min(n, _BLOCK_FEATURES)
+    # One state per subset of the walked features, indexed by its mask;
+    # it holds the residuals of the unwalked columns, then of r_y.
+    top = R.T[[*range(low, n), *range(low), n]][None]
+    for f in range(low, n):
+        top = _walk_step(top, norms[f])
+    values = np.empty(1 << n)
+    for block, state in zip(values.reshape(-1, 1 << low), top):
+        state = state[None]
+        for f in range(low):
+            state = _walk_step(state, norms[f])
+        np.square(state[:, 0]).sum(axis=1, out=block)
+    # values[0] is ||r_y||^2, summed as every residual energy is, so a
+    # fit that explains nothing gets value 0 exactly.
+    values = 1.0 - values / values[0]
     return new_value_table(n, values, max_features=max_features)
 
 
-def _residual_energy(R: np.ndarray, r_y: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``||R[:, S] b - r_y||^2`` at the minimum-norm least-squares ``b``, per row S of ``cols``.
+def _walk_step(state: np.ndarray, norm: float) -> np.ndarray:
+    """Add the first column of ``state`` to every subset: ``[without, with]``.
 
-    The residual is formed from the coefficients, as ``lstsq`` does, not
-    as the projection ``U U^T r_y``: when a column is tiny, U's direction
-    for it carries rounding error relative to that column's size, while
-    the product ``R[:, S] b`` stays accurate.
+    Its residual v is projected out of each later residual r as
+    ``r - (r.v / v.v) v``, unless v is within ``_SVD_RCOND * norm`` of
+    zero. Writing the halves in place holds peak memory to input + output.
     """
-    design = np.moveaxis(R[:, cols], 0, 1)  # (subsets, rows, k)
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    keep = s > _SVD_RCOND * s[:, :1]
-    proj = np.einsum("cij,i->cj", u, r_y)
-    proj = np.divide(proj, s, out=np.zeros_like(proj), where=keep)
-    coef = np.einsum("cjk,cj->ck", vt, proj)
-    resid = np.einsum("cik,ck->ci", design, coef) - r_y
-    return np.square(resid).sum(axis=1)
+    v, rest = state[:, 0], state[:, 1:]
+    energy = np.einsum("br,br->b", v, v)[:, None]
+    independent = energy > (_SVD_RCOND * norm) ** 2
+    coef = np.einsum("bkr,br->bk", rest, v)
+    coef = np.divide(coef, energy, out=np.zeros_like(coef), where=independent)
+    out = np.empty((2 * len(rest),) + rest.shape[1:])
+    out[: len(rest)] = rest
+    with_ = np.multiply(coef[:, :, None], v[:, None], out=out[len(rest) :])
+    np.subtract(rest, with_, out=with_)
+    return out
 
 
 def model_value_table(
     data: Dataset,
     model_outputs: np.ndarray | Iterable,
     *,
-    max_features: int = DATASET_MAX_FEATURES,
+    max_features: int = MAX_FEATURES,
 ) -> ValueTable:
     """Value table with a model's predictions standing in for the target.
 

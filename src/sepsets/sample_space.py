@@ -28,6 +28,7 @@ from .subset_algebra import (
     MAX_FEATURES,
     Tolerance,
     ValueTable,
+    check_feature_cap,
     json_reals,
     table_from_dict,
 )
@@ -159,6 +160,7 @@ def space_from_dict(payload: dict, *, max_features: int = MAX_FEATURES) -> Sampl
     if not isinstance(payload, dict) or "n" not in payload or "instances" not in payload:
         raise TableError('a sample space needs keys "n" and "instances"')
     n = payload["n"]
+    check_feature_cap(n, max_features)
     rows: Sequence = payload["instances"]
     if not isinstance(rows, list) or not rows:
         raise TableError('"instances" must be a nonempty list')
@@ -166,8 +168,11 @@ def space_from_dict(payload: dict, *, max_features: int = MAX_FEATURES) -> Sampl
         if not isinstance(row, dict) or "weight" not in row or "values" not in row:
             raise TableError(f'instance {i} needs keys "weight" and "values"')
     weights = json_reals([row["weight"] for row in rows], "weight")
-    tables = [
-        table_from_dict({"n": n, "values": row["values"]}, max_features=max_features)
-        for row in rows
-    ]
+    tables = []
+    for i, row in enumerate(rows):
+        try:
+            table = table_from_dict({"n": n, "values": row["values"]}, max_features=max_features)
+        except TableError as exc:
+            raise TableError(f"instance {i}: {exc}") from None
+        tables.append(table)
     return SampleSpace(n, tuple(zip(weights, tables)))

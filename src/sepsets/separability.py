@@ -322,4 +322,8 @@ def partition_from_dict(payload: dict, *, max_features: int = MAX_FEATURES) -> P
     blocks = payload["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise PartitionError('"blocks" must be a list of index lists')
+    for k, block in enumerate(blocks):
+        for i in block:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise PartitionError(f"block {k}: feature index {i!r} is not an integer")
     return Partition.from_indices(n, blocks)

@@ -121,6 +121,13 @@ def new_value_table(
     ``max_features`` loosens the default cap (dense tables grow as 2^n);
     it can never exceed the hard ceiling of 24.
     """
+    check_feature_cap(n, max_features)
+    return ValueTable(n, values)
+
+
+def check_feature_cap(n: int, max_features: int) -> None:
+    """Raise unless a table on n features fits the cap; callers that
+    build 2^n entries check before they build."""
     _check_n(n)
     if max_features > HARD_FEATURE_CEILING:
         raise CapExceededError(
@@ -128,7 +135,6 @@ def new_value_table(
         )
     if n > max_features:
         raise CapExceededError(f"n={n} exceeds the configured cap of {max_features} features")
-    return ValueTable(n, values)
 
 
 def full_mask(n: int) -> int:

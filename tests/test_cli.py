@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, and diagnostics."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -323,17 +324,34 @@ def test_non_utf8_input_exits_one(capsys, tmp_path, name, content, command, opti
 
 
 @pytest.mark.parametrize("command", ["eval-dataset", "scores"])
-def test_csv_dataset_cap_holds_under_a_larger_max_features(capsys, tmp_path, command):
-    csv_path = tmp_path / "wide.csv"
-    header = [f"f{i}" for i in range(17)] + ["y"]
-    csv_path.write_text(",".join(header) + "\n" + ",".join(["1.0"] * 18) + "\n")
-    argv = [command, str(csv_path), "--target", "y", "--max-features", "20"]
-    if command == "eval-dataset":
-        argv += ["--table-out", str(tmp_path / "t.json")]
-    code, _, err = run(capsys, argv)
-    assert code == 1
-    assert "dataset has 17 features; table construction is capped at 16" in err
-    assert not (tmp_path / "t.json").exists()
+def test_csv_obeys_the_one_table_cap(capsys, tmp_path, command):
+    # CSV datasets have no cap of their own: 17 columns build, 21 exceed
+    # the default table cap of 20, and --max-features lowers it.
+    table_out = tmp_path / "t.json"
+
+    def attempt(columns, *options):
+        csv_path = tmp_path / f"wide{columns}.csv"
+        header = [f"f{i}" for i in range(columns)] + ["y"]
+        rows = np.random.default_rng(columns).normal(size=(3, columns + 1))
+        lines = [",".join(header)] + [",".join(map(repr, row.tolist())) for row in rows]
+        csv_path.write_text("\n".join(lines) + "\n")
+        argv = [command, str(csv_path), "--target", "y", *options]
+        if command == "eval-dataset":
+            argv += ["--table-out", str(table_out)]
+        code, _, err = run(capsys, argv)
+        written = table_out.exists()
+        table_out.unlink(missing_ok=True)
+        return code, err, written
+
+    code, err, written = attempt(17)
+    assert code == 0 and err == ""
+    assert written == (command == "eval-dataset")
+    code, err, written = attempt(21)
+    assert code == 1 and not written
+    assert "n=21 exceeds the configured cap of 20 features" in err
+    code, err, written = attempt(9, "--max-features", "8")
+    assert code == 1 and not written
+    assert "n=9 exceeds the configured cap of 8 features" in err
 
 
 def _space(weight, values):
@@ -379,6 +397,15 @@ def test_non_numbers_in_json_exit_one(capsys, tmp_path, payload, message):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and message in lines[0]
+
+
+def test_space_value_errors_name_the_instance(capsys, tmp_path):
+    path = tmp_path / "space.json"
+    good = {"weight": 1, "values": [0, 1]}
+    path.write_text(json.dumps({"n": 1, "instances": [good, {"weight": 1, "values": [0, "x"]}]}))
+    code, _, err = run(capsys, ["audit", str(path)])
+    assert code == 1
+    assert err == "error: instance 1: value at index 1 must be a number, got 'x'\n"
 
 
 _JSON = st.recursive(
@@ -430,6 +457,77 @@ def test_json_loaders_exit_zero_or_one_with_an_error_line(capsys, tmp_path, payl
     path.write_text(json.dumps(payload))
     command = "scores" if "values" in payload else "audit"
     code, _, err = run(capsys, [command, str(path)])
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@st.composite
+def _csv_inputs(draw):
+    """CSV bytes for a dataset of 1 to 3 features, valid or damaged in one
+    place, with the command and the columns it names."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 3)))] + ["y", "w"]
+    rows = draw(
+        st.lists(
+            st.lists(st.floats(), min_size=len(names), max_size=len(names)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    cells = [[repr(v) for v in row] for row in rows]
+    options = ["--target", "y"]
+    if draw(st.booleans()):
+        options += ["--weight-col", "w"]
+    damages = ["none", "ragged", "cell", "field", "repeated", "header", "blank-body", "bytes"]
+    damage = draw(st.sampled_from(damages + ["target"]))
+    if damage == "ragged":
+        row = draw(st.sampled_from(cells))
+        if draw(st.booleans()):
+            row.append(draw(st.text(max_size=3)))
+        else:
+            row.pop()
+    elif damage == "cell":
+        draw(st.sampled_from(cells))[draw(st.integers(0, len(names) - 1))] = draw(
+            st.text(max_size=4)
+        )
+    elif damage == "field":
+        # Past the csv module's field limit, or NUL (a csv error before Python 3.11).
+        draw(st.sampled_from(cells))[0] = draw(st.sampled_from(["1" * 131073, "1\x00"]))
+    elif damage == "repeated":
+        names[draw(st.integers(1, len(names) - 1))] = names[0]
+    elif damage == "header":
+        if draw(st.booleans()):
+            names = None
+        else:
+            names[draw(st.integers(0, len(names) - 1))] = ""
+    elif damage == "blank-body":
+        cells = [[" "] * draw(st.integers(0, 2))] * draw(st.integers(0, 2))
+    elif damage == "target":
+        options[1] = draw(st.text(max_size=3))
+    lines = ([names] if names is not None else []) + cells
+    data = "".join(",".join(line) + "\n" for line in lines).encode()
+    if damage == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])) + data[at:]
+    return draw(st.sampled_from(["eval-dataset", "scores"])), data, options
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_csv_inputs())
+def test_csv_loader_exits_zero_or_one_with_an_error_line(capsys, tmp_path, case):
+    command, data, options = case
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    argv = [command, str(path), *options]
+    if command == "eval-dataset":
+        argv += ["--table-out", str(tmp_path / "t.json")]
+    with warnings.catch_warnings():
+        # A numpy warning would print lines of its own next to the error line.
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run(capsys, argv)
     assert code in (0, 1)
     if code == 1:
         lines = err.splitlines()

@@ -17,6 +17,7 @@ from sepsets import (
     null_feature_residual,
     r2_value_table,
 )
+from sepsets import dataset_eval
 
 from conftest import TOY_VALUES
 
@@ -106,10 +107,14 @@ def test_shape_validation():
 
 
 def test_feature_cap():
-    X = np.ones((2, 17))
+    # Datasets obey the one table cap: 20 by default, raisable up to 24.
     y = np.array([1.0, 2.0])
     with pytest.raises(CapExceededError):
-        r2_value_table(new_dataset(X, y))
+        r2_value_table(new_dataset(np.ones((2, 21)), y))
+    with pytest.raises(CapExceededError):
+        r2_value_table(new_dataset(np.ones((2, 8)), y), max_features=7)
+    with pytest.raises(CapExceededError):
+        r2_value_table(new_dataset(np.ones((2, 25)), y), max_features=25)
 
 
 def test_perfect_model_table_matches_data_table():
@@ -173,19 +178,23 @@ def test_constant_column_explains_weighted_mean(rng):
     assert table.values[1] == pytest.approx(explained, abs=1e-12)
 
 
-def r2_table_by_lstsq(data):
-    """The per-subset route that r2_value_table replaced, kept as its
-    reference: one minimum-norm lstsq fit of the full weighted design
-    per subset, with the same relative singular-value cutoff."""
+def r2_by_lstsq(data, mask):
+    """One subset's value by a minimum-norm lstsq fit of the full
+    weighted design, with a 1e-10 relative singular-value cutoff."""
     sw = np.sqrt(data.w)
     target = data.y * sw
-    tss = float(target @ target)
+    design = data.X[:, list(indices_of(mask))] * sw[:, None]
+    coef, *_ = np.linalg.lstsq(design, target, rcond=1e-10)
+    resid = design @ coef - target
+    return 1.0 - float(resid @ resid) / float(target @ target)
+
+
+def r2_table_by_lstsq(data):
+    """The per-subset route that r2_value_table replaced, kept as its
+    reference: one lstsq fit per subset."""
     values = np.zeros(1 << data.n)
     for mask in range(1, 1 << data.n):
-        design = data.X[:, list(indices_of(mask))] * sw[:, None]
-        coef, *_ = np.linalg.lstsq(design, target, rcond=1e-10)
-        resid = design @ coef - target
-        values[mask] = 1.0 - float(resid @ resid) / tss
+        values[mask] = r2_by_lstsq(data, mask)
     return values
 
 
@@ -234,3 +243,51 @@ def test_scaling_a_column_moves_no_value(rng):
         values = r2_value_table(data).values
         assert np.max(np.abs(values - base)) <= 1e-12
         assert np.max(np.abs(values - r2_table_by_lstsq(data))) <= 1e-12
+
+
+def test_column_units_move_no_value(rng):
+    # The dependency rule compares a column's residual with that
+    # column's own norm, so a column measured in tiny or huge units is
+    # neither dropped nor kept differently. A cutoff relative to the
+    # largest singular value of the subset's design drops a column
+    # scaled by 1e-12 and moves values by about 0.26.
+    X = rng.normal(size=(300, 10))
+    X[:, 9] = X[:, 2]
+    y = X @ rng.normal(size=10) + 0.3 * rng.normal(size=300)
+    w = rng.uniform(0.1, 1.0, size=300)
+    base = r2_value_table(new_dataset(X, y, w)).values
+    for f in range(10):
+        for k in (-12, -9, -6, 3, 6):
+            scaled = X.copy()
+            scaled[:, f] *= 10.0**k
+            values = r2_value_table(new_dataset(scaled, y, w)).values
+            assert np.max(np.abs(values - base)) <= 1e-12, (f, k)
+    # Nor do units whose squares, or weights whose sum, leave the float range.
+    for k in (-200, 200):
+        values = r2_value_table(new_dataset(X * 10.0**k, y * 10.0**k, w)).values
+        assert np.max(np.abs(values - base)) <= 1e-12, k
+    values = r2_value_table(new_dataset(X, y, w * 1e307)).values
+    assert np.max(np.abs(values - base)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_split_blocks_stitch_into_one_table(n):
+    # Past _BLOCK_FEATURES the top features are walked first and each of
+    # their subsets fills its own block, which the hypothesis test at
+    # n <= 6 never reaches. The last column duplicates the first, so a
+    # dependency spans the split.
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(200, n))
+    X[:, -1] = X[:, 0]
+    y = X @ rng.normal(size=n) + rng.normal(size=200)
+    data = new_dataset(X, y, rng.uniform(0.1, 1.0, size=200))
+    values = r2_value_table(data).values
+    low = dataset_eval._BLOCK_FEATURES
+    assert n > low
+    edges = np.arange(1 << (n - low)) << low
+    masks = {1 << f for f in range(n)} | {(1 << n) - 1}
+    masks |= {int(m) for m in edges[1:]} | {int(m) for m in edges[1:] - 1}
+    masks |= {int(m) for m in rng.integers(1, 1 << n, size=200)}
+    assert values[0] == 0.0
+    for mask in sorted(masks):
+        assert abs(values[mask] - r2_by_lstsq(data, mask)) <= 1e-12, mask

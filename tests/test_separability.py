@@ -256,6 +256,14 @@ def test_partition_dict_roundtrip():
     assert partition_from_dict(json.loads(json.dumps(payload))).blocks == p.blocks
 
 
+@pytest.mark.parametrize("index", ["a", 0.5, 1.0, True, None], ids=repr)
+def test_partition_dict_rejects_non_integer_indices(index):
+    # A bool would otherwise pass as feature 1, and a string or float
+    # would reach the range comparison and raise a TypeError.
+    with pytest.raises(PartitionError, match="block 1: feature index"):
+        partition_from_dict({"n": 2, "blocks": [[0], [index]]})
+
+
 def test_enumerate_separable_sets_toy(toy_table):
     got = sorted(enumerate_separable_sets(toy_table, TOL))
     assert got == [0b000, 0b011, 0b100, 0b111]
