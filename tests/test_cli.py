@@ -4,12 +4,13 @@ import json
 import warnings
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sepsets import Partition, ScoreMethod, new_value_table, score_vector, table_to_dict
-from sepsets.cli import main
+from sepsets.cli import _table_json, main
 
 from conftest import TOY_VALUES
 
@@ -240,6 +241,21 @@ def test_eval_dataset_writes_table(capsys, tmp_path):
     assert report["notes"] == []
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=1 << n, max_size=1 << n
+        )
+    )
+)
+@example([-0.0, 5e-324, 1e308, -1e308])
+@example([0.0, -0.0, 5e-324, -5e-324, 1e308, 2.2250738585072014e-308, 0.1, 1e16])
+def test_table_json_matches_indented_json(values):
+    table = new_value_table(len(values).bit_length() - 1, values)
+    assert _table_json(table) == json.dumps(table_to_dict(table), indent=2, sort_keys=True) + "\n"
+
+
 def test_eval_dataset_notes_weight_normalization(capsys, tmp_path):
     csv_path = tmp_path / "weighted.csv"
     csv_path.write_text("a,y,w\n0.0,1.0,1.0\n1.0,2.0,1.0\n2.0,1.5,2.0\n")
@@ -456,11 +472,175 @@ def test_json_loaders_exit_zero_or_one_with_an_error_line(capsys, tmp_path, payl
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(payload))
     command = "scores" if "values" in payload else "audit"
-    code, _, err = run(capsys, [command, str(path)])
+    with warnings.catch_warnings():
+        # A numpy warning would print lines of its own next to the error line.
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run(capsys, [command, str(path)])
     assert code in (0, 1)
     if code == 1:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# json reads every one of these; orjson rejects the literals and reads
+# integers wider than 64 bits as floats.
+_AWKWARD_NUMBERS = st.sampled_from(
+    ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400]
+) | (st.integers(2**64, 10**30) | st.integers(-(10**30), -(2**63) - 1)).map(str)
+
+
+@st.composite
+def _json_documents(draw):
+    """Bytes of a loader payload or any JSON value, given at most one
+    awkward number, lone surrogate, BOM or invalid UTF-8 byte."""
+    payload = draw(_loader_payloads() | _JSON)
+    twist = draw(st.sampled_from(["none", "number", "surrogate", "bom", "bytes"]))
+    mark = "@twist@"
+    if twist == "number":
+        values = payload.get("values") if isinstance(payload, dict) else None
+        spot = draw(st.sampled_from(["cell", "nested", "n"]))
+        if spot == "n" and isinstance(payload, dict):
+            payload["n"] = mark
+        elif isinstance(values, list) and values:
+            values[draw(st.integers(0, len(values) - 1))] = mark if spot == "cell" else [mark]
+        else:
+            payload = [payload, mark]
+    elif twist == "surrogate" and isinstance(payload, dict):
+        payload["\ud800" + draw(st.text(max_size=2))] = draw(_JSON)
+    text = json.dumps(payload)
+    if twist == "number":
+        text = text.replace(f'"{mark}"', draw(_AWKWARD_NUMBERS))
+    data = text.encode()
+    if twist == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif twist == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+def _orjson_rejects(raw):
+    raise orjson.JSONDecodeError("rejected", "", 0)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_json_documents(), st.sampled_from(["scores", "audit", "partition"]))
+def test_orjson_path_reports_what_the_json_path_reports(
+    capsys, tmp_path, monkeypatch, data, command
+):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    fast = run(capsys, [command, str(path)])
+    with monkeypatch.context() as patch:
+        patch.setattr(orjson, "loads", _orjson_rejects)
+        reference = run(capsys, [command, str(path)])
+    assert fast == reference
+
+
+def test_valid_and_over_cap_inputs_never_reach_json_loads(
+    capsys, toy_table_file, tmp_path, monkeypatch
+):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(_space(1.0, [0.0, 1.0])))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "loads", refuse)
+        results = [
+            run(capsys, argv)
+            for argv in [
+                ["scores", str(toy_table_file)],
+                ["partition", str(toy_table_file)],
+                ["audit", str(toy_table_file)],
+                ["audit", str(space)],
+                ["scores", str(toy_table_file), "--max-features", "2"],
+            ]
+        ]
+    for code, out, err in results[:-1]:
+        assert code == 0 and err == ""
+        assert json.loads(out)["tool"] == "sepsets"
+    assert results[-1] == (1, "", "error: n=3 exceeds the configured cap of 2 features\n")
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            '{"n": 100000000000000000000, "values": [0, 1]}',
+            "n=100000000000000000000 exceeds the hard ceiling of 24 features",
+        ),
+        (
+            '{"n": 1, "values": [0, [100000000000000000000]]}',
+            "value at index 1 must be a number, got [100000000000000000000]",
+        ),
+        (
+            '{"n": 1, "instances": [{"weight": 1, "values": [0, {"a": -100000000000000000000}]}]}',
+            "instance 0: value at index 1 must be a number, got {'a': -100000000000000000000}",
+        ),
+    ],
+    ids=["feature-count", "table-value", "space-value"],
+)
+def test_error_lines_quote_wide_integers_as_written(capsys, tmp_path, payload, message):
+    # orjson reads an integer wider than 64 bits as a float.
+    path = tmp_path / "wide.json"
+    path.write_text(payload)
+    code, out, err = run(capsys, ["audit", str(path)])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+# Deep enough for json to give up on every Python version, whose C
+# recursion limits range from about 1000 to 10000 levels.
+_DEPTH = 100_000
+
+
+@pytest.mark.parametrize("command", ["scores", "audit", "partition"])
+@pytest.mark.parametrize(
+    "document",
+    ["[" * _DEPTH + "]" * _DEPTH, '{"n": 1, "values": ' + "[" * _DEPTH + "]" * _DEPTH + "}"],
+    ids=["array", "values"],
+)
+def test_deep_nesting_exits_one_with_an_error_line(capsys, tmp_path, command, document):
+    path = tmp_path / "deep.json"
+    path.write_text(document)
+    code, out, err = run(capsys, [command, str(path)])
+    assert (code, out, err) == (1, "", f"error: {path}: JSON nested too deeply to parse\n")
+
+
+def test_many_brackets_never_reach_orjson(capsys, tmp_path, monkeypatch):
+    # orjson 3.8 has no depth limit and crashes the process on an object
+    # nested 70,000 deep; more than 1024 brackets go to json instead.
+    seen, loads = [], orjson.loads
+    monkeypatch.setattr(orjson, "loads", lambda raw: seen.append(raw) or loads(raw))
+    shallow, deep = tmp_path / "shallow.json", tmp_path / "deep.json"
+    instance = {"weight": 1, "values": [0, 1]}
+    shallow.write_text(json.dumps({"n": 1, "instances": [instance] * 511}))
+    deep.write_text(json.dumps({"n": 1, "instances": [instance] * 512}))
+    assert run(capsys, ["audit", str(shallow)])[0] == 0
+    assert len(seen) == 1
+    assert run(capsys, ["audit", str(deep)])[0] == 0
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("scores", "scores must be finite"),
+        ("audit", "scores must be finite"),
+        ("partition", "value tables must be finite (no NaN or infinity)"),
+    ],
+)
+def test_overflow_gives_one_error_line_and_no_warnings(capsys, tmp_path, command, message):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 2, "values": [0, 1e308, 1e308, -1e308]}')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, [command, str(path)])
+    assert [str(w.message) for w in caught] == []
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @st.composite
