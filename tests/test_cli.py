@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sepsets import Partition, ScoreMethod, new_value_table, score_vector, table_to_dict
+from sepsets import cli
 from sepsets.cli import _table_json, main
 
 from conftest import TOY_VALUES
@@ -321,6 +323,18 @@ def test_csv_repeated_header_name(capsys, tmp_path):
     )
     assert code == 1
     assert "'a'" in err and "more than once" in err
+
+
+@pytest.mark.parametrize("command", ["scores", "eval-dataset"])
+def test_weight_column_cannot_be_the_target(capsys, tmp_path, command):
+    table_out = tmp_path / "t.json"
+    argv = [command, TOY_CSV, "--target", "y", "--weight-col", "y"]
+    if command == "eval-dataset":
+        argv += ["--table-out", str(table_out)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {TOY_CSV}: column 'y' cannot be both the target and the weights\n"
+    assert not table_out.exists()
 
 
 @pytest.mark.parametrize(
@@ -705,13 +719,144 @@ def test_csv_loader_exits_zero_or_one_with_an_error_line(capsys, tmp_path, case)
     if command == "eval-dataset":
         argv += ["--table-out", str(tmp_path / "t.json")]
     with warnings.catch_warnings():
-        # A numpy warning would print lines of its own next to the error line.
-        warnings.simplefilter("error", RuntimeWarning)
+        # A warning, such as numpy's UserWarning on a CSV body with no rows,
+        # would print lines of its own next to the error line.
+        warnings.simplefilter("error")
         code, _, err = run(capsys, argv)
     assert code in (0, 1)
     if code == 1:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# Cells numpy and float() might read differently, or not at all, and a
+# field one past the csv module's field limit that numpy reads as 1.0.
+_AWKWARD_CELLS = [
+    "1_0",
+    "\u0661\u0662",
+    " 1.5 ",
+    "+.5",
+    "nan",
+    "-Infinity",
+    "1e400",
+    '"1.5"',
+    '"1,5"',
+    '"1"2',
+    ' "1"',
+    "#",
+    "",
+    "1\xa0",
+    "\x1c1",
+    "\ufeff1",
+    "1\x00",
+    "0" * 131072 + "1",
+]
+
+
+@st.composite
+def _csv_documents(draw):
+    """CSV bytes of plain numbers, perhaps with one awkward cell or
+    header name, blank rows, a BOM and any line ending, and the argv
+    tail that reads it."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 3)))] + ["y"]
+    plain = st.floats(-1e3, 1e3).map(repr) | st.integers(-9, 9).map(str)
+    rows = draw(
+        st.lists(st.lists(plain, min_size=len(names), max_size=len(names)), min_size=1, max_size=4)
+    )
+    options = ["--target", "y"]
+    if draw(st.booleans()):
+        names.append("w")
+        for row in rows:
+            row.append(repr(draw(st.floats(0.1, 2.0))))
+        options += ["--weight-col", "w"]
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_AWKWARD_CELLS))
+    if draw(st.booleans()):
+        names[0] = draw(st.sampled_from(['"x0"', '"x,0"', '"x\n0"', " x0 "]))
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        blank = draw(st.sampled_from(["", ",", " , ", "  ", ",,,,"]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text.encode(), options
+
+
+def _loadtxt_raises(*args, **kwargs):
+    raise ValueError("rejected")
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_csv_documents(), st.sampled_from(["scores", "eval-dataset"]))
+# Each would pass numpy and fail the walk, or give other rows, without
+# its own guard: a separator byte, a field past the limit, a lone CR
+# ending the header, a BOM in the body.
+@example((b"x0,y\n\x1c1,2\n3,5\n", ["--target", "y"]), "eval-dataset")
+@example((("x0,y\n" + "0" * 131072 + "1,2\n3,5\n").encode(), ["--target", "y"]), "scores")
+@example((b"x0,y\r1,2\n3,5\n4,4\n", ["--target", "y"]), "eval-dataset")
+@example(("x0,y\n\ufeff1,2\n3,5\n".encode(), ["--target", "y"]), "scores")
+def test_numpy_csv_path_reports_what_the_row_walk_reports(
+    capsys, tmp_path, monkeypatch, case, command
+):
+    data, options = case
+    path, table_out = tmp_path / "doc.csv", tmp_path / "t.json"
+    path.write_bytes(data)
+    argv = [command, str(path), *options]
+    if command == "eval-dataset":
+        argv += ["--table-out", str(table_out)]
+
+    def outcome():
+        table_out.unlink(missing_ok=True)
+        result = run(capsys, argv)
+        return result, table_out.read_bytes() if table_out.exists() else None
+
+    fast = outcome()
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "loadtxt", _loadtxt_raises)
+        reference = outcome()
+    assert fast == reference
+
+
+@pytest.mark.parametrize("data", [b"x0,y\n", b"x0,y\n\n\n", b"\xef\xbb\xbfx0,y\r\n , \r\n"])
+def test_csv_without_rows_gives_one_error_line_and_no_warnings(capsys, tmp_path, data):
+    # numpy warns on a body with no rows; the warning must not print.
+    path = tmp_path / "empty.csv"
+    path.write_bytes(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["scores", str(path), "--target", "y"])
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: need a header row and at least one data row\n"
+
+
+@pytest.mark.parametrize(
+    "layout", ["plain", "bom-crlf-no-final-eol", "quoted-blank-lines", "quoted-header-newline"]
+)
+def test_valid_csv_layouts_never_reach_the_row_walk(capsys, tmp_path, monkeypatch, layout):
+    def refuse(*args):
+        raise AssertionError("row walk called")
+
+    lines = Path(TOY_CSV).read_text().split()
+    text = {
+        "plain": "\n".join(lines) + "\n",
+        "bom-crlf-no-final-eol": "\ufeff" + "\r\n".join(lines),
+        "quoted-blank-lines": "\n\n".join('"' + line.replace(",", '","') + '"' for line in lines),
+        # The first column is named "f\n0": the header takes two lines.
+        "quoted-header-newline": '"f\n0"' + "\r\n\r\n".join(lines).removeprefix("f0") + "\n",
+    }[layout]
+    path, table_out = tmp_path / "toy.csv", tmp_path / "t.json"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(cli, "_walk_csv", refuse)
+    code, _, err = run(capsys, ["eval-dataset", str(path), "--target", "y", "--table-out", str(table_out)])
+    assert (code, err) == (0, "")
+    values = json.loads(table_out.read_text())["values"]
+    assert np.allclose(values, TOY_VALUES, atol=1e-9)
 
 
 def test_demo_commands(capsys):
