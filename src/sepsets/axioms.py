@@ -19,6 +19,7 @@ Conventions shared by all checkers:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,19 +29,26 @@ from .errors import TableError
 from .importance import (
     ImportanceVector,
     ScoreMethod,
+    _score_one,
+    _shapley_context_weights,
+    _shapley_shares,
     _subgame_scores,
+    _vectors_from_features,
     restricted_vector,
     score_vector,
 )
 from .separability import is_separable
 from .subset_algebra import (
     DEFAULT_TOL,
+    MobiusTable,
     Tolerance,
     ValueTable,
     _context_mask,
     _halves,
     _marginals,
+    _subset_transform,
     indices_of,
+    mobius_transform,
 )
 
 SYMMETRY_VARIANTS = ("z_empty", "z_pair")
@@ -116,6 +124,34 @@ def _vacuous(axiom: str, tol: Tolerance, detail: str) -> AxiomReport:
     return AxiomReport(axiom, True, 0.0, tol.absolute, vacuous=True, detail=detail)
 
 
+def _report(
+    axiom: str, tol: Tolerance, worst: float, witness: Witness | None, detail: str = ""
+) -> AxiomReport:
+    """Pass when ``worst`` is within ``tol``, else fail with ``witness``."""
+    if tol.within(worst):
+        return _passed(axiom, tol, worst, detail)
+    return AxiomReport(axiom, False, worst, tol.absolute, witness=witness, detail=detail)
+
+
+def _largest_gap(
+    axiom: str, lhs: np.ndarray, rhs: np.ndarray, tol: Tolerance, key: str = "feature"
+) -> AxiomReport:
+    """Judge the largest ``|lhs - rhs|``; the witness names its first index as ``key``."""
+    gaps = np.abs(lhs - rhs)
+    at = int(np.argmax(gaps))
+    witness = Witness(**{key: at}, lhs=float(lhs[at]), rhs=float(rhs[at]))
+    return _report(axiom, tol, float(gaps[at]), witness)
+
+
+def _first_worst(candidates) -> tuple[float, Witness | None]:
+    """The first largest positive residual of (residual, witness) pairs, and its witness."""
+    worst, witness = 0.0, None
+    for residual, w in candidates:
+        if residual > worst:
+            worst, witness = residual, w
+    return worst, witness
+
+
 def _check_scores(table: ValueTable, v: ImportanceVector) -> None:
     if v.n != table.n:
         raise TableError(f"scores over {v.n} features do not match table over {table.n}")
@@ -123,15 +159,16 @@ def _check_scores(table: ValueTable, v: ImportanceVector) -> None:
 
 def check_empty_set(table: ValueTable, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     """The empty subset should carry no value."""
-    residual = abs(float(table.values[0]))
-    if tol.within(residual):
-        return _passed("empty_set_value", tol, residual)
-    return AxiomReport(
-        "empty_set_value",
-        False,
-        residual,
-        tol.absolute,
-        witness=Witness(subset=0, lhs=float(table.values[0]), rhs=0.0),
+    witness = Witness(subset=0, lhs=float(table.values[0]), rhs=0.0)
+    return _report("empty_set_value", tol, abs(float(table.values[0])), witness)
+
+
+def _descent(values: np.ndarray, f: int, gains: np.ndarray) -> tuple[float, Witness]:
+    """Feature f's largest value drop over its marginals ``gains``, lowest context first."""
+    at = int(np.argmin(gains))
+    sub = _context_mask(at, f)
+    return -float(gains[at]), Witness(
+        subset=sub, feature=f, lhs=float(values[sub]), rhs=float(values[sub | (1 << f)])
     )
 
 
@@ -143,23 +180,8 @@ def check_monotonicity(table: ValueTable, tol: Tolerance = DEFAULT_TOL) -> Axiom
     itself is agnostic.
     """
     v = table.values
-    worst = 0.0
-    witness = None
-    for f in range(table.n):
-        gains = _marginals(v, table.n, f)
-        at = int(np.argmin(gains))
-        if -float(gains[at]) > worst:
-            worst = -float(gains[at])
-            sub = _context_mask(at, f)
-            witness = Witness(
-                subset=sub,
-                feature=f,
-                lhs=float(v[sub]),
-                rhs=float(v[sub | (1 << f)]),
-            )
-    if tol.within(worst):
-        return _passed("monotonicity", tol, worst)
-    return AxiomReport("monotonicity", False, worst, tol.absolute, witness=witness)
+    descents = (_descent(v, f, _marginals(v, table.n, f)) for f in range(table.n))
+    return _report("monotonicity", tol, *_first_worst(descents))
 
 
 def check_marginal_contribution(
@@ -172,17 +194,32 @@ def check_marginal_contribution(
     """
     _check_scores(table, v)
     full = table.full_mask
-    worst = 0.0
-    witness = None
-    for f in range(table.n):
-        floor = float(table.values[full] - table.values[full ^ (1 << f)])
-        gap = floor - float(v.scores[f])
-        if gap > worst:
-            worst = gap
-            witness = Witness(feature=f, lhs=float(v.scores[f]), rhs=floor)
-    if tol.within(worst):
-        return _passed("marginal_contribution", tol, worst)
-    return AxiomReport("marginal_contribution", False, worst, tol.absolute, witness=witness)
+    floors = table.values[full] - table.values[full ^ (1 << np.arange(table.n))]
+    gaps = floors - v.scores
+    at = int(np.argmax(gaps))
+    worst = float(gaps[at]) if gaps[at] > 0 else 0.0
+    witness = Witness(feature=at, lhs=float(v.scores[at]), rhs=float(floors[at]))
+    return _report("marginal_contribution", tol, worst, witness)
+
+
+def _rise(f: int, in_subgames: np.ndarray) -> tuple[float, Witness]:
+    """Feature f's largest score rise over its subgames, lowest drop mask first."""
+    # Reversed, entry c is what is left after dropping _context_mask(c, f).
+    by_drop = in_subgames[::-1]
+    rises = by_drop[1:] - by_drop[0]
+    at = int(np.argmax(rises))
+    drop = _context_mask(at + 1, f)
+    witness = Witness(subset=drop, feature=f, lhs=float(by_drop[0]), rhs=float(by_drop[at + 1]))
+    return float(rises[at]), witness
+
+
+def _elimination_report(rises, tol: Tolerance) -> AxiomReport:
+    """Fold the features' rises; equal rises go to the lowest drop mask."""
+    worst, witness = 0.0, None
+    for rise, w in rises:
+        if rise > worst or (rise == worst and witness is not None and w.subset < witness.subset):
+            worst, witness = rise, w
+    return _report("elimination", tol, worst, witness)
 
 
 def check_elimination(
@@ -197,27 +234,15 @@ def check_elimination(
     lowest drop mask and then the lowest feature; its features are in
     the original indexing.
     """
-    worst = 0.0
-    witness = None
-    if table.n > 1:
-        for f, in_subgames in enumerate(_subgame_scores(method, table)):
-            # Reversed, entry c is what is left after dropping _context_mask(c, f).
-            by_drop = in_subgames[::-1]
-            rises = by_drop[1:] - by_drop[0]
-            at = int(np.argmax(rises))
-            rise = float(rises[at])
-            drop = _context_mask(at + 1, f)
-            if rise > worst or (rise == worst and witness is not None and drop < witness.subset):
-                worst = rise
-                witness = Witness(
-                    subset=drop,
-                    feature=f,
-                    lhs=float(by_drop[0]),
-                    rhs=float(by_drop[at + 1]),
-                )
-    if tol.within(worst):
-        return _passed("elimination", tol, worst)
-    return AxiomReport("elimination", False, worst, tol.absolute, witness=witness)
+    rises = []
+    if table.n > 1 and method is not ScoreMethod.BIVARIATE:
+        shares = None
+        if method is ScoreMethod.SHAPLEY:
+            shares = _shapley_shares(mobius_transform(table).dividends, table.n)
+        for f in range(table.n):
+            diffs = None if shares is not None else _marginals(table.values, table.n, f)
+            rises.append(_rise(f, _subgame_scores(method, table, f, diffs, shares)))
+    return _elimination_report(rises, tol)
 
 
 def check_minimalism(
@@ -231,18 +256,42 @@ def check_minimalism(
     """
     _check_scores(table, v)
     reference = score_vector(ScoreMethod.MCI, table).scores
-    gaps = np.abs(v.scores - reference)
-    at = int(np.argmax(gaps))
-    worst = float(gaps[at])
-    if tol.within(worst):
-        return _passed("minimalism", tol, worst)
-    return AxiomReport(
-        "minimalism",
-        False,
-        worst,
-        tol.absolute,
-        witness=Witness(feature=at, lhs=float(v.scores[at]), rhs=float(reference[at])),
-    )
+    return _largest_gap("minimalism", v.scores, reference, tol)
+
+
+def _triviality_report(
+    table: ValueTable, scores: np.ndarray, top: Callable[[int], float], tol: Tolerance
+) -> AxiomReport:
+    """Triviality of ``scores``; ``top(f)`` is the largest |marginal| of
+    feature f, asked only for features scored beyond tolerance."""
+    n, values = table.n, table.values
+    magnitude = np.abs(values)
+    active = np.abs(scores) > tol.absolute
+    active_mask = sum(1 << f for f in range(n) if active[f])
+    worst, witness = 0.0, None
+    # Item 1: valued subsets without an active member; the first maximum wins.
+    silent = (magnitude > tol.absolute) & (np.arange(1 << n) & active_mask == 0)
+    s = int(np.argmax(np.where(silent, magnitude, 0.0)))
+    if silent[s]:
+        worst = float(magnitude[s])
+        peak = max((abs(float(scores[f])) for f in indices_of(s)), default=0.0)
+        witness = Witness(subset=s, lhs=float(values[s]), rhs=peak)
+    # Item 2, ascending feature scan.
+    for f in range(n):
+        if not active[f]:
+            continue
+        highest = top(f)
+        if highest > tol.absolute:
+            continue
+        residual = abs(float(scores[f]))
+        if residual > worst:
+            worst = residual
+            witness = Witness(feature=f, lhs=float(scores[f]), rhs=highest)
+    if witness is not None:
+        return AxiomReport("triviality", False, worst, tol.absolute, witness=witness)
+    if not np.any(magnitude > tol.absolute) and not np.any(active):
+        return _vacuous("triviality", tol, "all values and all scores are zero")
+    return _passed("triviality", tol)
 
 
 def check_triviality(
@@ -258,38 +307,11 @@ def check_triviality(
     flagged vacuous.
     """
     _check_scores(table, v)
-    n = table.n
-    values = table.values
-    scores = v.scores
-    magnitude = np.abs(values)
-    active = np.abs(scores) > tol.absolute
-    active_mask = sum(1 << f for f in range(n) if active[f])
 
-    worst = 0.0
-    witness = None
-    # Item 1: valued subsets without an active member; the first maximum wins.
-    silent = (magnitude > tol.absolute) & (np.arange(1 << n) & active_mask == 0)
-    s = int(np.argmax(np.where(silent, magnitude, 0.0)))
-    if silent[s]:
-        worst = float(magnitude[s])
-        peak = max((abs(float(scores[f])) for f in indices_of(s)), default=0.0)
-        witness = Witness(subset=s, lhs=float(values[s]), rhs=peak)
-    # Item 2, ascending feature scan.
-    for f in range(n):
-        if not active[f]:
-            continue
-        top = float(np.max(np.abs(_marginals(values, n, f))))
-        if top > tol.absolute:
-            continue
-        residual = abs(float(scores[f]))
-        if residual > worst:
-            worst = residual
-            witness = Witness(feature=f, lhs=float(scores[f]), rhs=top)
-    if witness is not None:
-        return AxiomReport("triviality", False, worst, tol.absolute, witness=witness)
-    if not np.any(magnitude > tol.absolute) and not np.any(active):
-        return _vacuous("triviality", tol, "all values and all scores are zero")
-    return _passed("triviality", tol)
+    def top(f: int) -> float:
+        return float(np.max(np.abs(_marginals(table.values, table.n, f))))
+
+    return _triviality_report(table, v.scores, top, tol)
 
 
 def check_null_feature(
@@ -313,16 +335,8 @@ def check_null_feature(
         return _vacuous(
             "null_feature", tol, f"feature {f} is not null (output spread {spread:.6g})"
         )
-    residual = abs(float(v.scores[f]))
-    if tol.within(residual):
-        return _passed("null_feature", tol, residual)
-    return AxiomReport(
-        "null_feature",
-        False,
-        residual,
-        tol.absolute,
-        witness=Witness(feature=f, lhs=float(v.scores[f]), rhs=0.0),
-    )
+    witness = Witness(feature=f, lhs=float(v.scores[f]), rhs=0.0)
+    return _report("null_feature", tol, abs(float(v.scores[f])), witness)
 
 
 def check_data_model_equivalence(
@@ -347,30 +361,48 @@ def check_data_model_equivalence(
         return _vacuous("data_model_equivalence", tol, "model is not declared perfect")
     data_scores = score_vector(method, data_table).scores
     model_scores = score_vector(method, model_table).scores
-    gaps = np.abs(model_scores - data_scores)
-    at = int(np.argmax(gaps))
-    worst = float(gaps[at])
-    if tol.within(worst):
-        return _passed("data_model_equivalence", tol, worst)
-    return AxiomReport(
-        "data_model_equivalence",
-        False,
-        worst,
-        tol.absolute,
-        witness=Witness(feature=at, lhs=float(model_scores[at]), rhs=float(data_scores[at])),
+    return _largest_gap("data_model_equivalence", model_scores, data_scores, tol)
+
+
+def _spread(gap: np.ndarray) -> float:
+    return float(np.max(np.abs(gap)))
+
+
+def _interchangeable(table: ValueTable, tol: Tolerance) -> dict[str, list[tuple[int, int]]]:
+    """Interchangeable pairs (f1 < f2, ascending) under each symmetry variant:
+    z_empty adds two comparisons to those of z_pair."""
+    values, n = table.values, table.n
+    pairs: dict[str, list[tuple[int, int]]] = {variant: [] for variant in SYMMETRY_VARIANTS}
+    for f1 in range(n):
+        for f2 in range(f1 + 1, n):
+            # The empty context belongs to both variants, so a gap between
+            # the singletons already rules the pair out.
+            if abs(float(values[1 << f1] - values[1 << f2])) > tol.absolute:
+                continue
+            without_f2, with_f2 = _halves(values, n, f2)
+            _, only_f1 = _halves(without_f2, n - 1, f1)
+            only_f2, both = _halves(with_f2, n - 1, f1)
+            if _spread(only_f1 - only_f2) > tol.absolute:
+                continue
+            pairs["z_pair"].append((f1, f2))
+            if max(_spread(only_f1 - both), _spread(both - only_f2)) <= tol.absolute:
+                pairs["z_empty"].append((f1, f2))
+    return pairs
+
+
+def _symmetry_report(
+    pairs: list[tuple[int, int]], scores: np.ndarray, variant: str, tol: Tolerance
+) -> AxiomReport:
+    if not pairs:
+        return _vacuous("symmetry", tol, f"no interchangeable pair under {variant}")
+    gaps = (
+        (
+            abs(float(scores[f1] - scores[f2])),
+            Witness(feature=f1, feature_b=f2, lhs=float(scores[f1]), rhs=float(scores[f2])),
+        )
+        for f1, f2 in pairs
     )
-
-
-def _swap_spread(values: np.ndarray, n: int, f1: int, f2: int, variant: str) -> float:
-    """Largest value change from putting f2 in place of f1 (f1 < f2) in
-    a context: contexts excluding both (z_pair) or all contexts (z_empty)."""
-    without_f2, with_f2 = _halves(values, n, f2)
-    _, only_f1 = _halves(without_f2, n - 1, f1)
-    only_f2, both = _halves(with_f2, n - 1, f1)
-    gaps = [only_f1 - only_f2]
-    if variant == "z_empty":
-        gaps += [only_f1 - both, both - only_f2]
-    return max(float(np.max(np.abs(gap))) for gap in gaps)
+    return _report("symmetry", tol, *_first_worst(gaps), detail=f"variant {variant}")
 
 
 def check_symmetry(
@@ -389,35 +421,64 @@ def check_symmetry(
     _check_scores(table, v)
     if variant not in SYMMETRY_VARIANTS:
         raise TableError(f"unknown symmetry variant {variant!r}; expected {SYMMETRY_VARIANTS}")
-    values = table.values
-    worst = 0.0
-    witness = None
-    any_pair = False
-    for f1 in range(table.n):
-        for f2 in range(f1 + 1, table.n):
-            # The empty context belongs to both variants, so a gap between
-            # the singletons already rules the pair out.
-            if abs(float(values[1 << f1] - values[1 << f2])) > tol.absolute:
-                continue
-            if _swap_spread(values, table.n, f1, f2, variant) > tol.absolute:
-                continue
-            any_pair = True
-            gap = abs(float(v.scores[f1] - v.scores[f2]))
-            if gap > worst:
-                worst = gap
-                witness = Witness(
-                    feature=f1,
-                    feature_b=f2,
-                    lhs=float(v.scores[f1]),
-                    rhs=float(v.scores[f2]),
-                )
-    if not any_pair:
-        return _vacuous("symmetry", tol, f"no interchangeable pair under {variant}")
-    if tol.within(worst):
-        return _passed("symmetry", tol, worst, detail=f"variant {variant}")
-    return AxiomReport(
-        "symmetry", False, worst, tol.absolute, witness=witness, detail=f"variant {variant}"
-    )
+    return _symmetry_report(_interchangeable(table, tol)[variant], v.scores, variant, tol)
+
+
+def audit_table(
+    table: ValueTable, label: str, methods: tuple[ScoreMethod, ...], tol: Tolerance = DEFAULT_TOL
+) -> tuple[list[tuple[str, AxiomReport]], dict[ScoreMethod, ImportanceVector]]:
+    """Every table check under every rule in ``methods``, from one walk over the features.
+
+    Returns the labeled rows, each equal to its ``check_*`` report, and
+    the score vectors, MCI among them. Feature f's marginals are computed
+    once and feed monotonicity, every rule's score, triviality item 2 and
+    the ablation and MCI subgames; one feature's arrays live at a time.
+    """
+    n, values = table.n, table.values
+    methods = tuple(methods)
+    rules = methods + (() if ScoreMethod.MCI in methods else (ScoreMethod.MCI,))
+    weights = _shapley_context_weights(n) if ScoreMethod.SHAPLEY in rules else None
+    dividends = shares = None
+    if ScoreMethod.SHAPLEY in methods and n > 1:
+        dividends = _subset_transform(values.copy(), n, np.subtract)
+        shares = _shapley_shares(dividends, n)
+    descents, tops, per_feature = [], [], []
+    rises: dict[ScoreMethod, list] = {m: [] for m in methods}
+    for f in range(n):
+        diffs = _marginals(values, n, f)
+        scores = [_score_one(m, table, f, diffs, weights) for m in rules]
+        per_feature.append(scores)
+        descents.append(_descent(values, f, diffs))
+        active = any(abs(s) > tol.absolute for s, _ in scores[: len(methods)])
+        tops.append(float(np.max(np.abs(diffs))) if active else None)
+        for m in methods if n > 1 else ():
+            in_subgames = _subgame_scores(m, table, f, diffs, shares)
+            if in_subgames is not None:
+                rises[m].append(_rise(f, in_subgames))
+    vectors = _vectors_from_features(rules, per_feature)
+    if dividends is not None:
+        # Overflowing dividends raise here, after the scores, the order
+        # in which the separate checks meet the two errors.
+        MobiusTable(n, dividends)
+    reference = vectors[ScoreMethod.MCI].scores
+    pairs = _interchangeable(table, tol)
+    rows = [
+        (f"empty_set_value[{label}]", check_empty_set(table, tol)),
+        (f"monotonicity[{label}]", _report("monotonicity", tol, *_first_worst(descents))),
+    ]
+    for m in methods:
+        v, tag = vectors[m], f"{label},{m.value}"
+        rows += [
+            (f"triviality[{tag}]", _triviality_report(table, v.scores, tops.__getitem__, tol)),
+            (f"marginal_contribution[{tag}]", check_marginal_contribution(table, v, tol)),
+            (f"minimalism[{tag}]", _largest_gap("minimalism", v.scores, reference, tol)),
+            *(
+                (f"symmetry[{tag},{z}]", _symmetry_report(pairs[z], v.scores, z, tol))
+                for z in ("z_pair", "z_empty")
+            ),
+            (f"elimination[{tag}]", _elimination_report(rises[m], tol)),
+        ]
+    return rows, vectors
 
 
 def check_separable_importance(
@@ -441,49 +502,22 @@ def check_separable_importance(
     combined = restricted_vector(method, table, subset) + restricted_vector(
         method, table, table.full_mask ^ subset
     )
-    gaps = np.abs(full_scores - combined)
-    at = int(np.argmax(gaps))
-    additivity_residual = float(gaps[at])
-    additive = tol.within(additivity_residual)
-
-    if not sep.separable:
-        item1 = _vacuous(
-            "separable_importance_item1", tol, f"subset {subset} is not separable"
-        )
-    elif additive:
-        item1 = _passed("separable_importance_item1", tol, additivity_residual)
+    additivity = _largest_gap("separable_importance_item1", full_scores, combined, tol)
+    if sep.separable:
+        item1 = additivity
     else:
-        item1 = AxiomReport(
-            "separable_importance_item1",
-            False,
-            additivity_residual,
-            tol.absolute,
-            witness=Witness(
-                feature=at, lhs=float(full_scores[at]), rhs=float(combined[at])
-            ),
-        )
-
-    if not additive:
+        item1 = _vacuous("separable_importance_item1", tol, f"subset {subset} is not separable")
+    if not additivity.passed:
         item2 = _vacuous(
-            "separable_importance_item2",
-            tol,
-            f"scores are not additive across subset {subset}",
+            "separable_importance_item2", tol, f"scores are not additive across subset {subset}"
         )
-    elif sep.separable:
-        item2 = _passed("separable_importance_item2", tol, sep.worst_residual)
     else:
         worst_T = sep.worst_T
         split = float(
-            table.values[worst_T & subset]
-            + table.values[worst_T & (table.full_mask ^ subset)]
+            table.values[worst_T & subset] + table.values[worst_T & (table.full_mask ^ subset)]
         )
-        item2 = AxiomReport(
-            "separable_importance_item2",
-            False,
-            sep.worst_residual,
-            tol.absolute,
-            witness=Witness(subset=worst_T, lhs=float(table.values[worst_T]), rhs=split),
-        )
+        witness = Witness(subset=worst_T, lhs=float(table.values[worst_T]), rhs=split)
+        item2 = _report("separable_importance_item2", tol, sep.worst_residual, witness)
     return SeparableImportanceReport(item1=item1, item2=item2)
 
 
@@ -494,10 +528,7 @@ def report_rows_markdown(rows: list[tuple[str, AxiomReport]]) -> str:
         "| --- | --- | --- | --- | --- |",
     ]
     for label, report in rows:
-        if report.vacuous:
-            status = "pass (vacuous)"
-        else:
-            status = "pass" if report.passed else "FAIL"
+        status = "pass (vacuous)" if report.vacuous else "pass" if report.passed else "FAIL"
         wit = "" if report.witness is None else _witness_markdown(report.witness)
         lines.append(
             f"| {label} | {report.axiom} | {status} | {report.residual:.12g} | {wit} |"
@@ -506,10 +537,7 @@ def report_rows_markdown(rows: list[tuple[str, AxiomReport]]) -> str:
 
 
 def _witness_markdown(witness: Witness) -> str:
-    parts = []
-    for key, value in witness.to_dict().items():
-        if isinstance(value, float):
-            parts.append(f"{key}={value:.12g}")
-        else:
-            parts.append(f"{key}={value}")
-    return ", ".join(parts)
+    return ", ".join(
+        f"{key}={value:.12g}" if isinstance(value, float) else f"{key}={value}"
+        for key, value in witness.to_dict().items()
+    )

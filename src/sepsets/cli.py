@@ -29,33 +29,16 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .axioms import (
-    AxiomReport,
-    check_elimination,
-    check_empty_set,
-    check_marginal_contribution,
-    check_minimalism,
-    check_monotonicity,
-    check_symmetry,
-    check_triviality,
-    report_rows_markdown,
-)
+from .axioms import audit_table, report_rows_markdown
 from .dataset_eval import new_dataset, r2_value_table
 from .errors import SepsetsError, TableError
-from .importance import ALL_METHODS, ScoreMethod, score_vector
-from .sample_space import (
-    SampleSpace,
-    check_importance_consistency,
-    check_value_consistency,
-    global_table,
-    space_from_dict,
-)
+from .importance import ALL_METHODS, ScoreMethod, score_vectors
+from .sample_space import SampleSpace, audit_space, space_from_dict
 from .separability import (
     ORACLE_MAX_FEATURES,
-    maximal_partition,
     maximal_partition_oracle,
+    maximal_partition_reports,
     partition_to_dict,
-    validate_partition,
 )
 from .scenarios import (
     ColliderParams,
@@ -304,13 +287,10 @@ def _nonblank(rows: Iterator[list[str]]) -> Iterator[list[str]]:
 
 
 def _csv_rows(path: Path, raw: bytes) -> Iterator[list[str]]:
-    """Nonblank CSV rows, one at a time; bytes that are not UTF-8, and
-    csv-module errors, become usage errors."""
+    """Nonblank CSV rows, one at a time; csv-module errors become usage errors."""
     reader = _csv_reader(raw)
     try:
         yield from _nonblank(reader)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
     except csv.Error as exc:  # an oversized field, or NUL before Python 3.11
         raise _UsageError(f"{path}: line {reader.line_num}: {exc}") from None
 
@@ -388,7 +368,7 @@ def _numpy_csv(raw: bytes) -> tuple[list[str], np.ndarray] | None:
                 ndmin=2,
                 encoding="utf-8",
             )
-    except (ValueError, csv.Error, Warning):  # UnicodeDecodeError is a ValueError
+    except (ValueError, csv.Error, Warning):
         return None
     if body.shape[1] != len(header):
         return None
@@ -434,9 +414,16 @@ def _load_csv(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[str], float]:
     """CSV file contents to arrays, and the raw sum of the weights.
 
-    numpy parses the body; the row walk decides every file numpy rejects
-    or is not trusted with, so values and error lines are the walk's.
+    Bytes that are not UTF-8 anywhere in the file are one error, decided
+    before the header is read. numpy parses the body; the row walk
+    decides every file numpy rejects or is not trusted with, so values
+    and error lines are the walk's.
     """
+    if not raw.isascii():  # ASCII is UTF-8; the check builds no decoded copy
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     parsed = _numpy_csv(raw)
     if parsed is None:
         X, y, weights, feature_names = _walk_csv(path, raw, target, weight_col)
@@ -487,15 +474,11 @@ def _table_from_input(args) -> tuple[ValueTable, str, dict]:
     return table, digest, {}
 
 
-def _methods(args) -> list[ScoreMethod]:
+def _methods(args) -> tuple[ScoreMethod, ...]:
+    """The requested rules, each once in first-named order; all four by default."""
     if args.method is None:
-        return list(ALL_METHODS)
-    seen = []
-    for name in args.method:
-        m = ScoreMethod.parse(name)
-        if m not in seen:
-            seen.append(m)
-    return seen
+        return ALL_METHODS
+    return tuple(dict.fromkeys(ScoreMethod.parse(name) for name in args.method))
 
 
 def _emit(args, command: str, digest: str | None, report: dict, markdown: str) -> None:
@@ -524,20 +507,15 @@ def _emit(args, command: str, digest: str | None, report: dict, markdown: str) -
         args.out.write_text(text, encoding="utf-8")
 
 
-def _tol(args) -> Tolerance:
-    return Tolerance(args.tol)
-
-
 # ---------------------------------------------------------------- subcommands
 
 
 def run_scores(args) -> int:
     table, digest, extras = _table_from_input(args)
-    _tol(args)  # validates the flag even though scoring itself needs no tolerance
+    Tolerance(args.tol)  # validates the flag even though scoring itself needs no tolerance
     methods = _methods(args)
     per_method: dict = {}
-    for m in methods:
-        vec = score_vector(m, table)
+    for m, vec in score_vectors(methods, table).items():
         entry: dict = {"scores": [float(x) for x in vec.scores]}
         if vec.witnesses is not None:
             entry["witness_contexts"] = list(vec.witnesses)
@@ -553,37 +531,9 @@ def run_scores(args) -> int:
     return _EXIT_OK
 
 
-def _audit_table_rows(
-    table: ValueTable, label: str, methods: list[ScoreMethod], tol: Tolerance
-) -> list[tuple[str, AxiomReport]]:
-    rows: list[tuple[str, AxiomReport]] = []
-    rows.append((f"empty_set_value[{label}]", check_empty_set(table, tol)))
-    rows.append((f"monotonicity[{label}]", check_monotonicity(table, tol)))
-    for m in methods:
-        v = score_vector(m, table)
-        rows.append((f"triviality[{label},{m.value}]", check_triviality(table, v, tol)))
-        rows.append(
-            (
-                f"marginal_contribution[{label},{m.value}]",
-                check_marginal_contribution(table, v, tol),
-            )
-        )
-        rows.append((f"minimalism[{label},{m.value}]", check_minimalism(table, v, tol)))
-        for variant in ("z_pair", "z_empty"):
-            rows.append(
-                (
-                    f"symmetry[{label},{m.value},{variant}]",
-                    check_symmetry(table, v, variant, tol),
-                )
-            )
-        rows.append((f"elimination[{label},{m.value}]", check_elimination(m, table, tol)))
-    return rows
-
-
 def run_audit(args) -> int:
-    rows: list[tuple[str, AxiomReport]] = []
     notes: list[str] = []
-    tol = _tol(args)
+    tol = Tolerance(args.tol)
     methods = _methods(args)
 
     if args.input.suffix.lower() == ".csv":
@@ -592,19 +542,13 @@ def run_audit(args) -> int:
         args, ("table", "space"), "audit expects a value table or sample space, got a {kind} file"
     )
     if isinstance(loaded, ValueTable):
-        rows += _audit_table_rows(loaded, "table", methods, tol)
+        rows, _ = audit_table(loaded, "table", methods, tol)
     else:
-        mean = global_table(loaded)
-        rows.append(("value_consistency[global]", check_value_consistency(loaded, mean, tol)))
+        rows = audit_space(loaded, methods, tol)
         notes.append(
             "value consistency compares the aggregated global table against itself; "
             "it fails only for an externally supplied claim"
         )
-        for m in methods:
-            rows.append(
-                (f"importance_consistency[{m.value}]", check_importance_consistency(loaded, m, tol))
-            )
-        rows += _audit_table_rows(mean, "global", methods, tol)
 
     violations = [label for label, rep in rows if not rep.passed]
     report = {
@@ -622,9 +566,8 @@ def run_partition(args) -> int:
     if args.input.suffix.lower() == ".csv":
         raise _UsageError("partition expects a value-table JSON file")
     table, digest = _read_json(args, ("table",), "partition expects a value-table JSON file")
-    tol = _tol(args)
-    partition = maximal_partition(table, tol)
-    block_reports = validate_partition(table, partition, tol)
+    tol = Tolerance(args.tol)
+    partition, block_reports = maximal_partition_reports(table, tol)
     report = {
         "partition": partition_to_dict(partition),
         "block_reports": [
@@ -683,7 +626,7 @@ def run_eval_dataset(args) -> int:
     if args.input.suffix.lower() != ".csv":
         raise _UsageError("eval-dataset expects a CSV file")
     table, rows, names, notes, digest = _csv_table(args)
-    _tol(args)
+    Tolerance(args.tol)
     args.table_out.write_text(_table_json(table), encoding="utf-8")
     report = {
         "rows": rows,
@@ -706,7 +649,7 @@ def run_eval_dataset(args) -> int:
 
 
 def run_demo(args) -> int:
-    tol = _tol(args)
+    tol = Tolerance(args.tol)
     if args.name == "mci-nonlinearity":
         report = demo_mci_nonlinearity(tol)
     elif args.name == "twin-features":
@@ -714,25 +657,19 @@ def run_demo(args) -> int:
     elif args.name == "toy-separable":
         report = demo_toy_separable(tol)
     else:
-        defaults = ColliderParams()
-        gum = [
-            [
-                args.p_gum_00 if args.p_gum_00 is not None else defaults.p_gum[0][0],
-                args.p_gum_01 if args.p_gum_01 is not None else defaults.p_gum[0][1],
-            ],
-            [
-                args.p_gum_10 if args.p_gum_10 is not None else defaults.p_gum[1][0],
-                args.p_gum_11 if args.p_gum_11 is not None else defaults.p_gum[1][1],
-            ],
-        ]
+        d = ColliderParams()
+
+        def pick(value: float | None, default: float) -> float:
+            return default if value is None else value
+
         params = ColliderParams(
-            p_smoke=args.p_smoke if args.p_smoke is not None else defaults.p_smoke,
-            p_earache=args.p_earache if args.p_earache is not None else defaults.p_earache,
-            p_gum=(tuple(gum[0]), tuple(gum[1])),
-            p_cancer=(
-                args.p_cancer_0 if args.p_cancer_0 is not None else defaults.p_cancer[0],
-                args.p_cancer_1 if args.p_cancer_1 is not None else defaults.p_cancer[1],
+            p_smoke=pick(args.p_smoke, d.p_smoke),
+            p_earache=pick(args.p_earache, d.p_earache),
+            p_gum=(
+                (pick(args.p_gum_00, d.p_gum[0][0]), pick(args.p_gum_01, d.p_gum[0][1])),
+                (pick(args.p_gum_10, d.p_gum[1][0]), pick(args.p_gum_11, d.p_gum[1][1])),
             ),
+            p_cancer=(pick(args.p_cancer_0, d.p_cancer[0]), pick(args.p_cancer_1, d.p_cancer[1])),
         )
         report = demo_collider(params, tol)
     digest = hashlib.sha256(

@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .subset_algebra import (
     _subset_transform,
     eliminate,
     mix,
-    mobius_transform,
     popcount_table,
 )
 
@@ -113,22 +111,24 @@ class ImportanceVector:
         return int(self.scores.shape[0])
 
 
+# Rules that read a feature's marginals; the other two read single entries.
+_MARGINAL_RULES = (ScoreMethod.SHAPLEY, ScoreMethod.MCI)
+
+
 def _score_one(
-    method: ScoreMethod,
-    table: ValueTable,
-    f: int,
-    context_weights: np.ndarray | None,
+    method: ScoreMethod, table: ValueTable, f: int,
+    diffs: np.ndarray | None, weights: np.ndarray | None,
 ) -> tuple[float, int | None]:
+    """Feature f's score and MCI witness, given its marginals when the rule reads them."""
     v = table.values
     bit = 1 << f
     if method is ScoreMethod.BIVARIATE:
         return float(v[bit]), None
     if method is ScoreMethod.ABLATION:
         return float(v[table.full_mask] - v[table.full_mask ^ bit]), None
-    diffs = _marginals(v, table.n, f)
     if method is ScoreMethod.SHAPLEY:
-        assert context_weights is not None
-        return float(context_weights @ diffs), None
+        assert weights is not None and diffs is not None
+        return float(weights @ diffs), None
     if method is ScoreMethod.MCI:
         # argmax picks the first maximizer; contexts run in ascending
         # mask order, so that is the lowest-bitmask witness.
@@ -137,66 +137,78 @@ def _score_one(
     raise TableError(f"unhandled method {method!r}")
 
 
-def _context_weights(method: ScoreMethod, n: int) -> np.ndarray | None:
+def _shapley_context_weights(n: int) -> np.ndarray:
     """Shapley weight of each context of a feature, in :func:`_marginals` order."""
-    if method is ScoreMethod.SHAPLEY:
-        return shapley_weights(n)[popcount_table(n - 1)]
-    return None
+    return shapley_weights(n)[popcount_table(n - 1)]
 
 
-def _subgame_scores(method: ScoreMethod, table: ValueTable) -> Iterator[np.ndarray]:
-    """Yield, feature by feature, the feature's score in every subgame containing it.
+def _vectors_from_features(
+    methods: tuple[ScoreMethod, ...], per_feature: list[list[tuple[float, int | None]]]
+) -> dict[ScoreMethod, ImportanceVector]:
+    """Score vectors from each feature's ``_score_one`` results, one per method."""
+    vectors = {}
+    for m, column in zip(methods, zip(*per_feature)):
+        scores, witnesses = zip(*column)
+        witnesses = witnesses if m is ScoreMethod.MCI else None
+        vectors[m] = ImportanceVector(m, np.array(scores), witnesses)
+    return vectors
 
-    Entry c of feature f's array scores f in the subgame on
-    ``_context_mask(c, f) | 1 << f``, so the last entry is the full game.
-    A subgame keeps the values of its subsets, hence f's marginals over
-    the contexts inside it and the dividends of its subsets; each rule
-    then needs one O(n * 2^n) pass at most:
 
-    * bivariate: the constant v({f});
-    * ablation: f's marginals themselves;
-    * mci: subset maxima of f's marginals;
-    * shapley: subset sums of d(W) / |W| over the W containing f.
+def score_vectors(
+    methods: tuple[ScoreMethod, ...], table: ValueTable
+) -> dict[ScoreMethod, ImportanceVector]:
+    """Score vectors under several rules from one walk over the features;
+    a feature's marginals are computed once, when some rule reads them."""
+    methods = tuple(methods)
+    weights = _shapley_context_weights(table.n) if ScoreMethod.SHAPLEY in methods else None
+    marginal = any(m in _MARGINAL_RULES for m in methods)
+    per_feature = []
+    for f in range(table.n):
+        diffs = _marginals(table.values, table.n, f) if marginal else None
+        per_feature.append([_score_one(m, table, f, diffs, weights) for m in methods])
+    return _vectors_from_features(methods, per_feature)
 
-    One array lives at a time, so memory stays O(2^n).
+
+def _shapley_shares(dividends: np.ndarray, n: int) -> np.ndarray:
+    """Each dividend split evenly over its features: ``d(W) / |W|``, 0 at the empty set."""
+    return dividends / np.maximum(popcount_table(n), 1)
+
+
+def _subgame_scores(
+    method: ScoreMethod, table: ValueTable, f: int,
+    diffs: np.ndarray | None, shares: np.ndarray | None,
+) -> np.ndarray | None:
+    """Feature f's score in every subgame containing it, in O(n * 2^n) at most.
+
+    Entry c scores f in the subgame on ``_context_mask(c, f) | 1 << f``,
+    so the last entry is the full game. A subgame keeps f's marginals
+    ``diffs`` over its contexts and the dividends of its subsets: ablation
+    reads the marginals, MCI takes their subset maxima, Shapley sums
+    ``shares`` (see :func:`_shapley_shares`) over the W containing f, and
+    bivariate, constant at v({f}), gives None.
     """
-    n = table.n
+    if method is ScoreMethod.ABLATION:
+        return diffs
+    if method is ScoreMethod.MCI:
+        return _subset_transform(diffs.copy(), table.n - 1, np.maximum)
     if method is ScoreMethod.SHAPLEY:
-        dividends = mobius_transform(table).dividends
-        sizes = (popcount_table(n - 1) + 1.0).reshape((2,) * (n - 1))
-    for f in range(n):
-        if method is ScoreMethod.BIVARIATE:
-            yield np.full(1 << (n - 1), table.values[1 << f])
-        elif method is ScoreMethod.SHAPLEY:
-            _, with_f = _halves(dividends, n, f)
-            yield _subset_transform(np.reshape(with_f / sizes, -1), n - 1, np.add)
-        else:
-            scores = _marginals(table.values, n, f)
-            if method is ScoreMethod.MCI:
-                _subset_transform(scores, n - 1, np.maximum)
-            yield scores
+        _, with_f = _halves(shares, table.n, f)
+        return _subset_transform(with_f.flatten(), table.n - 1, np.add)
+    return None
 
 
 def score(method: ScoreMethod, table: ValueTable, f: int) -> float:
     """Importance of feature ``f`` under ``method``."""
     if not 0 <= f < table.n:
         raise TableError(f"feature index {f} out of range for n={table.n}")
-    value, _ = _score_one(method, table, f, _context_weights(method, table.n))
-    return value
+    diffs = _marginals(table.values, table.n, f) if method in _MARGINAL_RULES else None
+    weights = _shapley_context_weights(table.n) if method is ScoreMethod.SHAPLEY else None
+    return _score_one(method, table, f, diffs, weights)[0]
 
 
 def score_vector(method: ScoreMethod, table: ValueTable) -> ImportanceVector:
     """Scores of every feature, with MCI witness contexts when applicable."""
-    weights = _context_weights(method, table.n)
-    scores = np.empty(table.n, dtype=np.float64)
-    wit: list[int] = []
-    for f in range(table.n):
-        scores[f], w = _score_one(method, table, f, weights)
-        if w is not None:
-            wit.append(w)
-    return ImportanceVector(
-        method, scores, tuple(wit) if method is ScoreMethod.MCI else None
-    )
+    return score_vectors((method,), table)[method]
 
 
 def restricted_score(method: ScoreMethod, table: ValueTable, subset: int, f: int) -> float:
@@ -210,8 +222,6 @@ def restricted_score(method: ScoreMethod, table: ValueTable, subset: int, f: int
         raise TableError(f"feature index {f} out of range for n={table.n}")
     if not (subset >> f) & 1:
         raise TableError(f"feature {f} does not belong to subset mask {subset}")
-    if subset == table.full_mask:
-        return score(method, table, f)
     restricted, kept = eliminate(table, table.full_mask ^ subset)
     return score(method, restricted, kept.index(f))
 
@@ -229,8 +239,6 @@ def restricted_vector(
     out = np.zeros(table.n, dtype=np.float64)
     if subset == 0:
         return out
-    if subset == table.full_mask:
-        return score_vector(method, table).scores.copy()
     restricted, kept = eliminate(table, table.full_mask ^ subset)
     sub_scores = score_vector(method, restricted).scores
     for new_idx, old_idx in enumerate(kept):

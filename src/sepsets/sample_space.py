@@ -20,9 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .axioms import AxiomReport, Witness
+from .axioms import AxiomReport, _largest_gap, audit_table
 from .errors import DegenerateInputError, TableError
-from .importance import ScoreMethod, score_vector
+from .importance import ScoreMethod, score_vector, score_vectors
 from .subset_algebra import (
     DEFAULT_TOL,
     MAX_FEATURES,
@@ -61,6 +61,8 @@ class SampleSpace:
         total = sum(weights)
         if total <= 0:
             raise DegenerateInputError("instance weights must not all be zero")
+        if not np.isfinite(total):
+            raise TableError("instance weights must sum to a finite number")
         normalized = tuple(
             (w / total, t) for w, (_, t) in zip(weights, self.instances)
         )
@@ -108,18 +110,19 @@ def check_value_consistency(
             f"claimed table over {global_claim.n} features does not match space over {space.n}"
         )
     mean = global_table(space).values
-    gaps = np.abs(global_claim.values - mean)
-    at = int(np.argmax(gaps))
-    worst = float(gaps[at])
-    if tol.within(worst):
-        return AxiomReport("value_consistency", True, worst, tol.absolute)
-    return AxiomReport(
-        "value_consistency",
-        False,
-        worst,
-        tol.absolute,
-        witness=Witness(subset=at, lhs=float(global_claim.values[at]), rhs=float(mean[at])),
-    )
+    return _largest_gap("value_consistency", global_claim.values, mean, tol, key="subset")
+
+
+def _mean_scores(
+    space: SampleSpace, methods: tuple[ScoreMethod, ...]
+) -> dict[ScoreMethod, np.ndarray]:
+    """Weighted mean of the instance scores under each rule, one pass per instance."""
+    means = {m: np.zeros(space.n, dtype=np.float64) for m in methods}
+    for w, t in space.instances:
+        vectors = score_vectors(methods, t)
+        for m in methods:
+            means[m] += w * vectors[m].scores
+    return means
 
 
 def check_importance_consistency(
@@ -127,21 +130,26 @@ def check_importance_consistency(
 ) -> AxiomReport:
     """Does scoring the mean table equal the mean of instance scores?"""
     lhs = score_vector(method, global_table(space)).scores
-    rhs = np.zeros(space.n, dtype=np.float64)
-    for w, t in space.instances:
-        rhs += w * score_vector(method, t).scores
-    gaps = np.abs(lhs - rhs)
-    at = int(np.argmax(gaps))
-    worst = float(gaps[at])
-    if tol.within(worst):
-        return AxiomReport("importance_consistency", True, worst, tol.absolute)
-    return AxiomReport(
-        "importance_consistency",
-        False,
-        worst,
-        tol.absolute,
-        witness=Witness(feature=at, lhs=float(lhs[at]), rhs=float(rhs[at])),
-    )
+    rhs = _mean_scores(space, (method,))[method]
+    return _largest_gap("importance_consistency", lhs, rhs, tol)
+
+
+def audit_space(
+    space: SampleSpace, methods: tuple[ScoreMethod, ...], tol: Tolerance = DEFAULT_TOL
+) -> list[tuple[str, AxiomReport]]:
+    """Value consistency, importance consistency per rule and :func:`audit_table`
+    of the global table, as labeled rows. The global table is built once,
+    and each instance is scored under every rule in one walk."""
+    methods = tuple(methods)
+    mean = global_table(space)
+    means = _mean_scores(space, methods)
+    table_rows, vectors = audit_table(mean, "global", methods, tol)
+    consistency = _largest_gap("value_consistency", mean.values, mean.values, tol, key="subset")
+    rows = [("value_consistency[global]", consistency)]
+    for m in methods:
+        gap = _largest_gap("importance_consistency", vectors[m].scores, means[m], tol)
+        rows.append((f"importance_consistency[{m.value}]", gap))
+    return rows + table_rows
 
 
 def space_to_dict(space: SampleSpace) -> dict:

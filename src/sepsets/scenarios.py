@@ -48,6 +48,7 @@ from .importance import (
     check_linearity,
     grouped_score_vector,
     score_vector,
+    score_vectors,
 )
 from .sample_space import SampleSpace, check_importance_consistency
 from .separability import induced_meta_table, maximal_partition
@@ -112,9 +113,7 @@ def _listify(arr: np.ndarray) -> list[float]:
 
 
 def _all_scores(table: ValueTable) -> dict[str, list[float]]:
-    return {
-        m.value: _listify(score_vector(m, table).scores) for m in ALL_METHODS
-    }
+    return {m.value: _listify(v.scores) for m, v in score_vectors(ALL_METHODS, table).items()}
 
 
 def demo_mci_nonlinearity(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:

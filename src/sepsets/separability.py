@@ -137,19 +137,27 @@ def validate_partition(
 
 
 def maximal_partition(table: ValueTable, tol: Tolerance = DEFAULT_TOL) -> Partition:
-    """Coarsest-grained partition into separable blocks.
+    """Coarsest-grained partition into separable blocks (see :func:`maximal_partition_reports`)."""
+    return maximal_partition_reports(table, tol)[0]
+
+
+def maximal_partition_reports(
+    table: ValueTable, tol: Tolerance = DEFAULT_TOL
+) -> tuple[Partition, tuple[SeparabilityReport, ...]]:
+    """Coarsest-grained partition into separable blocks, and their reports at ``tol``.
 
     Two features land in the same block iff some interaction dividend
     with magnitude above ``tol`` covers both; blocks are the connected
     components of that relation. Each such dividend ties its features
     to its lowest feature, and the per-feature reaches are merged
-    wherever they overlap. The result is re-validated as a safety net
-    at a tolerance scaled by the summation depth (2^n, offset by any
-    residual empty-set value), which the dividend bound guarantees.
+    wherever they overlap. As a safety net the blocks' residuals, which
+    do not depend on the tolerance, are judged again at a tolerance
+    scaled by the summation depth (2^n, offset by any residual
+    empty-set value), which the dividend bound guarantees.
 
     Note that when ``value({}) `` itself exceeds ``tol`` no subset is
-    separable in the strict sense; the validator reports that honestly,
-    while this routine still returns the interaction structure.
+    separable in the strict sense; the reports say so honestly, while
+    the partition still gives the interaction structure.
     """
     n = table.n
     dividends = mobius_transform(table).dividends
@@ -165,14 +173,15 @@ def maximal_partition(table: ValueTable, tol: Tolerance = DEFAULT_TOL) -> Partit
                 merged |= b
         blocks = [b for b in blocks if not b & merged] + [merged]
     result = Partition(n, tuple(blocks))
+    reports = validate_partition(table, result, tol)
     guard = Tolerance((1 << n) * tol.absolute + abs(float(table.values[0])) + tol.absolute)
-    for report in validate_partition(table, result, guard):
-        if not report.separable:  # pragma: no cover - violates the dividend bound
+    for report in reports:
+        if not guard.within(report.worst_residual):  # pragma: no cover - breaks the dividend bound
             raise RuntimeError(
                 f"internal inconsistency: block {report.subset} failed re-validation "
                 f"with residual {report.worst_residual}"
             )
-    return result
+    return result, reports
 
 
 def enumerate_separable_sets(

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sepsets import Partition, ScoreMethod, new_value_table, score_vector, table_to_dict
+from sepsets import (
+    Partition,
+    ScoreMethod,
+    new_value_table,
+    score_vector,
+    table_to_dict,
+    validate_partition,
+)
 from sepsets import cli
 from sepsets.cli import _table_json, main
 
@@ -211,9 +218,11 @@ def test_partition_command(capsys, toy_table_file, tmp_path):
 
 def test_partition_oracle_disagreement_exits_3(capsys, toy_table_file, monkeypatch):
     # Singletons split the toy table's connected pair {0, 1}.
-    monkeypatch.setattr(
-        "sepsets.cli.maximal_partition", lambda table, tol: Partition.singletons(table.n)
-    )
+    def singletons(table, tol):
+        partition = Partition.singletons(table.n)
+        return partition, validate_partition(table, partition, tol)
+
+    monkeypatch.setattr("sepsets.cli.maximal_partition_reports", singletons)
     code, _, err = run(capsys, ["partition", str(toy_table_file), "--with-oracle"])
     assert code == 3
     assert "error: oracle disagreement: fast ((0,), (1,), (2,)) vs exhaustive ((0, 1), (2,))" in err
@@ -353,6 +362,16 @@ def test_non_utf8_input_exits_one(capsys, tmp_path, name, content, command, opti
     assert f"{path}: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("rows", [1, 5000])
+def test_csv_bad_byte_gives_one_error_wherever_it_sits(capsys, tmp_path, rows):
+    # The header repeats a column. The file is judged not UTF-8 whether
+    # its bad byte sits in the first block the decoder reads or far past it.
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"a,a\n" + b"1,2\n" * rows + b"\xff,3\n")
+    code, out, err = run(capsys, ["scores", str(path), "--target", "a"])
+    assert (code, out, err) == (1, "", f"error: {path}: not UTF-8 text\n")
+
+
 @pytest.mark.parametrize("command", ["eval-dataset", "scores"])
 def test_csv_obeys_the_one_table_cap(capsys, tmp_path, command):
     # CSV datasets have no cap of their own: 17 columns build, 21 exceed
@@ -482,6 +501,8 @@ def _loader_payloads(draw):
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(_loader_payloads())
+# Weights whose sum overflows once crashed the weight normalization.
+@example({"n": 1, "instances": [{"weight": 1e308, "values": [0, 0]}] * 2})
 def test_json_loaders_exit_zero_or_one_with_an_error_line(capsys, tmp_path, payload):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(payload))
