@@ -1,11 +1,13 @@
 """Built-in demonstration scenarios and their frozen outcomes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sepsets import ScoreMethod, Tolerance
+from sepsets.cli import main
 from sepsets.scenarios import (
     ColliderParams,
     demo_collider,
@@ -17,6 +19,13 @@ from sepsets.scenarios import (
 
 TOL = Tolerance(1e-9)
 METHODS = ("bivariate", "ablation", "shapley", "mci")
+GOLDEN = Path(__file__).parent / "golden"
+DEMO_NAMES = ("mci-nonlinearity", "twin-features", "collider", "toy-separable")
+DEMO_GOLDEN = {
+    **{f"demo-{name}.{output}": ["demo", name, "--output", output]
+       for name in DEMO_NAMES for output in ("json", "markdown")},
+    "demo-collider-flags.json": ["demo", "collider", "--p-cancer-0", "0.1", "--p-gum-10", "0.7"],
+}
 
 
 def claims_by_name(report):
@@ -126,6 +135,17 @@ def test_reports_serialize_deterministically():
         assert first == second
         # Round-trip through the parser is also byte-stable.
         assert json.dumps(json.loads(first), sort_keys=True, indent=2) == first
+
+
+@pytest.mark.parametrize("stem", DEMO_GOLDEN)
+def test_demo_stdout_matches_golden_file(capsys, stem):
+    # Written by the demos as they stood before they scored each table
+    # once and took the linearity rows from the axiom module. Shapley
+    # figures come from a BLAS dot product, whose last bits may differ
+    # under another BLAS kernel.
+    assert main(DEMO_GOLDEN[stem]) == 0
+    expected = (GOLDEN / f"{stem}.stdout").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
 
 
 def test_markdown_rendering_mentions_claims():
