@@ -142,14 +142,17 @@ def build_parser() -> argparse.ArgumentParser:
         "name",
         choices=("mci-nonlinearity", "twin-features", "collider", "toy-separable"),
     )
-    p_demo.add_argument("--p-smoke", type=float, default=None)
-    p_demo.add_argument("--p-earache", type=float, default=None)
-    p_demo.add_argument("--p-gum-00", type=float, default=None, help="P(gum | no smoke, no earache)")
-    p_demo.add_argument("--p-gum-01", type=float, default=None, help="P(gum | no smoke, earache)")
-    p_demo.add_argument("--p-gum-10", type=float, default=None, help="P(gum | smoke, no earache)")
-    p_demo.add_argument("--p-gum-11", type=float, default=None, help="P(gum | smoke, earache)")
-    p_demo.add_argument("--p-cancer-0", type=float, default=None, help="P(cancer | no smoke)")
-    p_demo.add_argument("--p-cancer-1", type=float, default=None, help="P(cancer | smoke)")
+    d = ColliderParams()
+    p_demo.add_argument("--p-smoke", type=float, default=d.p_smoke)
+    p_demo.add_argument("--p-earache", type=float, default=d.p_earache)
+    (g00, g01), (g10, g11) = d.p_gum
+    p_demo.add_argument("--p-gum-00", type=float, default=g00, help="P(gum | no smoke, no earache)")
+    p_demo.add_argument("--p-gum-01", type=float, default=g01, help="P(gum | no smoke, earache)")
+    p_demo.add_argument("--p-gum-10", type=float, default=g10, help="P(gum | smoke, no earache)")
+    p_demo.add_argument("--p-gum-11", type=float, default=g11, help="P(gum | smoke, earache)")
+    c0, c1 = d.p_cancer
+    p_demo.add_argument("--p-cancer-0", type=float, default=c0, help="P(cancer | no smoke)")
+    p_demo.add_argument("--p-cancer-1", type=float, default=c1, help="P(cancer | smoke)")
     _add_common(p_demo)
     p_demo.set_defaults(func=run_demo)
 
@@ -657,19 +660,11 @@ def run_demo(args) -> int:
     elif args.name == "toy-separable":
         report = demo_toy_separable(tol)
     else:
-        d = ColliderParams()
-
-        def pick(value: float | None, default: float) -> float:
-            return default if value is None else value
-
         params = ColliderParams(
-            p_smoke=pick(args.p_smoke, d.p_smoke),
-            p_earache=pick(args.p_earache, d.p_earache),
-            p_gum=(
-                (pick(args.p_gum_00, d.p_gum[0][0]), pick(args.p_gum_01, d.p_gum[0][1])),
-                (pick(args.p_gum_10, d.p_gum[1][0]), pick(args.p_gum_11, d.p_gum[1][1])),
-            ),
-            p_cancer=(pick(args.p_cancer_0, d.p_cancer[0]), pick(args.p_cancer_1, d.p_cancer[1])),
+            p_smoke=args.p_smoke,
+            p_earache=args.p_earache,
+            p_gum=((args.p_gum_00, args.p_gum_01), (args.p_gum_10, args.p_gum_11)),
+            p_cancer=(args.p_cancer_0, args.p_cancer_1),
         )
         report = demo_collider(params, tol)
     digest = hashlib.sha256(

@@ -27,11 +27,13 @@ import numpy as np
 
 from .axioms import (
     AxiomReport,
+    _largest_gap,
     check_data_model_equivalence,
     check_elimination,
     check_null_feature,
     check_symmetry,
     check_triviality,
+    report_rows_markdown,
 )
 from .dataset_eval import (
     Dataset,
@@ -44,10 +46,9 @@ from .dataset_eval import (
 from .errors import TableError
 from .importance import (
     ALL_METHODS,
+    ImportanceVector,
     ScoreMethod,
-    check_linearity,
     grouped_score_vector,
-    score_vector,
     score_vectors,
 )
 from .sample_space import SampleSpace, check_importance_consistency
@@ -112,8 +113,8 @@ def _listify(arr: np.ndarray) -> list[float]:
     return [float(x) for x in arr]
 
 
-def _all_scores(table: ValueTable) -> dict[str, list[float]]:
-    return {m.value: _listify(v.scores) for m, v in score_vectors(ALL_METHODS, table).items()}
+def _listed(vectors: dict[ScoreMethod, ImportanceVector]) -> dict[str, list[float]]:
+    return {m.value: _listify(v.scores) for m, v in vectors.items()}
 
 
 def demo_mci_nonlinearity(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
@@ -128,18 +129,18 @@ def demo_mci_nonlinearity(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     alpha = 0.5
     mixed = mix(first, second, alpha)
 
-    mci_first = score_vector(ScoreMethod.MCI, first).scores
-    mci_second = score_vector(ScoreMethod.MCI, second).scores
-    mci_mixed = score_vector(ScoreMethod.MCI, mixed).scores
-    mean_of_scores = alpha * mci_first + (1.0 - alpha) * mci_second
-
+    s1, s2, s12 = (score_vectors(ALL_METHODS, t) for t in (first, second, mixed))
+    mean = {m: alpha * s1[m].scores + (1.0 - alpha) * s2[m].scores for m in ALL_METHODS}
     linearity = {
-        m: check_linearity(m, first, second, alpha, tol) for m in ALL_METHODS
+        m: _largest_gap("score_linearity", s12[m].scores, mean[m], tol) for m in ALL_METHODS
     }
+    mci = ScoreMethod.MCI
+    mci_first, mci_second, mci_mixed = s1[mci].scores, s2[mci].scores, s12[mci].scores
+    mean_of_scores = mean[mci]
     margin = float(np.min(np.abs(mci_mixed - mean_of_scores)))
 
     space = SampleSpace(2, ((alpha, first), (1.0 - alpha, second)))
-    consistency = check_importance_consistency(space, ScoreMethod.MCI, tol)
+    consistency = check_importance_consistency(space, mci, tol)
 
     claims = (
         Claim("mci_of_first", bool(np.array_equal(mci_first, [1.0, 2.0])),
@@ -159,11 +160,11 @@ def demo_mci_nonlinearity(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
         ),
         Claim(
             "linear_rules_commute_with_mixture",
-            not any(
-                linearity[m].violated
+            all(
+                linearity[m].passed
                 for m in (ScoreMethod.BIVARIATE, ScoreMethod.ABLATION, ScoreMethod.SHAPLEY)
             ),
-            [m.value for m in ALL_METHODS if linearity[m].violated],
+            [m.value for m in ALL_METHODS if not linearity[m].passed],
             ["mci"],
         ),
     )
@@ -175,36 +176,13 @@ def demo_mci_nonlinearity(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
             "second": _listify(second.values),
             "mixture": _listify(mixed.values),
         },
-        scores={
-            "first": _all_scores(first),
-            "second": _all_scores(second),
-            "mixture": _all_scores(mixed),
-        },
-        axiom_rows=(("importance_consistency[mci]", consistency),)
-        + tuple(
-            (
-                f"linearity[{m.value}]",
-                AxiomReport(
-                    "score_linearity",
-                    not linearity[m].violated,
-                    linearity[m].max_deviation,
-                    tol.absolute,
-                    witness=None
-                    if not linearity[m].violated
-                    else _linearity_witness(linearity[m]),
-                ),
-            )
-            for m in ALL_METHODS
+        scores={"first": _listed(s1), "second": _listed(s2), "mixture": _listed(s12)},
+        axiom_rows=(
+            ("importance_consistency[mci]", consistency),
+            *((f"linearity[{m.value}]", linearity[m]) for m in ALL_METHODS),
         ),
         claims=claims,
     )
-
-
-def _linearity_witness(report):
-    from .axioms import Witness
-
-    at = int(np.argmax(np.abs(report.lhs - report.rhs)))
-    return Witness(feature=at, lhs=float(report.lhs[at]), rhs=float(report.rhs[at]))
 
 
 def demo_twin_features(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
@@ -229,36 +207,30 @@ def demo_twin_features(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     support = Dataset(
         np.array([[lo, lo], [hi, hi]]), np.array([lo, hi]), np.array([0.5, 0.5])
     )
-    nu_data = r2_value_table(support)
     m0_support = support.X[:, 0]
     m1_support = support.X[:, 1]
-    perfect0 = float(np.max(np.abs(m0_support - support.y))) == 0.0
-    perfect1 = float(np.max(np.abs(m1_support - support.y))) == 0.0
-    nu_m0_data = model_value_table(support, m0_support)
-    nu_m1_data = model_value_table(support, m1_support)
+    miss0 = float(np.max(np.abs(m0_support - support.y)))
+    miss1 = float(np.max(np.abs(m1_support - support.y)))
 
     grid0 = OutcomeTable(((lo, hi), (lo, hi)), np.array([lo, lo, hi, hi]))
     grid1 = OutcomeTable(((lo, hi), (lo, hi)), np.array([lo, hi, lo, hi]))
     uniform = np.full(4, 0.25)
-    nu_m0_grid = r2_value_table(grid_to_dataset(grid0, uniform))
-    nu_m1_grid = r2_value_table(grid_to_dataset(grid1, uniform))
+    tables = {
+        "data": r2_value_table(support),
+        "model0_data_weighted": model_value_table(support, m0_support),
+        "model1_data_weighted": model_value_table(support, m1_support),
+        "model0_grid": r2_value_table(grid_to_dataset(grid0, uniform)),
+        "model1_grid": r2_value_table(grid_to_dataset(grid1, uniform)),
+    }
+    nu_data, nu_m0_grid, nu_m1_grid = tables["data"], tables["model0_grid"], tables["model1_grid"]
+    vectors = {label: score_vectors(ALL_METHODS, t) for label, t in tables.items()}
 
     spread0 = null_feature_residual(grid0, 1)
     spread1 = null_feature_residual(grid1, 0)
     axiom_rows: list[tuple[str, AxiomReport]] = []
     claims: list[Claim] = [
-        Claim(
-            "model0_perfect_on_support",
-            perfect0,
-            float(np.max(np.abs(m0_support - support.y))),
-            0.0,
-        ),
-        Claim(
-            "model1_perfect_on_support",
-            perfect1,
-            float(np.max(np.abs(m1_support - support.y))),
-            0.0,
-        ),
+        Claim("model0_perfect_on_support", miss0 == 0.0, miss0, 0.0),
+        Claim("model1_perfect_on_support", miss1 == 0.0, miss1, 0.0),
         Claim(
             "duplicate_null_for_model0",
             spread0 == 0.0,
@@ -275,12 +247,10 @@ def demo_twin_features(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
         ),
     ]
 
-    failing: dict[str, list[str]] = {}
     for m in ALL_METHODS:
-        v0_data = score_vector(m, nu_m0_data)
-        v1_data = score_vector(m, nu_m1_data)
-        nf0 = check_null_feature(grid0, v0_data, 1, tol)
-        nf1 = check_null_feature(grid1, v1_data, 0, tol)
+        g0, g1 = vectors["model0_grid"][m], vectors["model1_grid"][m]
+        nf0 = check_null_feature(grid0, vectors["model0_data_weighted"][m], 1, tol)
+        nf1 = check_null_feature(grid1, vectors["model1_data_weighted"][m], 0, tol)
         axiom_rows.append((f"null_feature[{m.value},model0,data-weighted]", nf0))
         axiom_rows.append((f"null_feature[{m.value},model1,data-weighted]", nf1))
 
@@ -289,14 +259,16 @@ def demo_twin_features(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
         axiom_rows.append((f"data_model_equivalence[{m.value},model0,grid]", dme0))
         axiom_rows.append((f"data_model_equivalence[{m.value},model1,grid]", dme1))
 
-        dme_data = check_data_model_equivalence(nu_data, nu_m0_data, m, True, tol)
+        dme_data = check_data_model_equivalence(
+            nu_data, tables["model0_data_weighted"], m, True, tol
+        )
         axiom_rows.append((f"data_model_equivalence[{m.value},model0,data-weighted]", dme_data))
 
-        nf_grid = check_null_feature(grid0, score_vector(m, nu_m0_grid), 1, tol)
+        nf_grid = check_null_feature(grid0, g0, 1, tol)
         axiom_rows.append((f"null_feature[{m.value},model0,grid]", nf_grid))
 
-        triv0 = check_triviality(nu_m0_grid, score_vector(m, nu_m0_grid), tol)
-        triv1 = check_triviality(nu_m1_grid, score_vector(m, nu_m1_grid), tol)
+        triv0 = check_triviality(nu_m0_grid, g0, tol)
+        triv1 = check_triviality(nu_m1_grid, g1, tol)
         axiom_rows.append((f"triviality[{m.value},model0,grid]", triv0))
         axiom_rows.append((f"triviality[{m.value},model1,grid]", triv1))
 
@@ -305,7 +277,6 @@ def demo_twin_features(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
             broken.append("null_feature")
         if not dme0.passed or not dme1.passed:
             broken.append("data_model_equivalence")
-        failing[m.value] = broken
         claims.append(
             Claim(
                 f"axiom_breaks[{m.value}]",
@@ -320,14 +291,12 @@ def demo_twin_features(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
                 triv0.passed and not triv0.vacuous and triv1.passed and not triv1.vacuous,
             )
         )
-        g0 = score_vector(m, nu_m0_grid).scores
-        g1 = score_vector(m, nu_m1_grid).scores
         claims.append(
             Claim(
                 f"perfect_models_disagree[{m.value}]",
-                bool(np.max(np.abs(g0 - g1)) > tol.absolute),
-                _listify(g0),
-                _listify(g1),
+                bool(np.max(np.abs(g0.scores - g1.scores)) > tol.absolute),
+                _listify(g0.scores),
+                _listify(g1.scores),
                 note="scores of the two perfect models, grid construction",
             )
         )
@@ -345,19 +314,13 @@ def demo_twin_features(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     return ScenarioReport(
         name="twin_features",
         inputs={"signal_domain": [lo, hi], "grid_weights": "uniform"},
-        tables={
-            "data": _listify(nu_data.values),
-            "model0_data_weighted": _listify(nu_m0_data.values),
-            "model1_data_weighted": _listify(nu_m1_data.values),
-            "model0_grid": _listify(nu_m0_grid.values),
-            "model1_grid": _listify(nu_m1_grid.values),
-        },
+        tables={label: _listify(t.values) for label, t in tables.items()},
         scores={
-            "data": _all_scores(nu_data),
-            "model0_grid": _all_scores(nu_m0_grid),
-            "model1_grid": _all_scores(nu_m1_grid),
-            "model0_data_weighted": _all_scores(nu_m0_data),
-            "model1_data_weighted": _all_scores(nu_m1_data),
+            "data": _listed(vectors["data"]),
+            "model0_grid": _listed(vectors["model0_grid"]),
+            "model1_grid": _listed(vectors["model1_grid"]),
+            "model0_data_weighted": _listed(vectors["model0_data_weighted"]),
+            "model1_data_weighted": _listed(vectors["model1_data_weighted"]),
         },
         axiom_rows=tuple(axiom_rows),
         claims=tuple(claims),
@@ -383,10 +346,6 @@ class ColliderParams:
         for p in flat:
             if not (0.0 <= p <= 1.0):
                 raise TableError(f"probability {p!r} outside [0, 1]")
-
-
-def default_collider_params() -> ColliderParams:
-    return ColliderParams()
 
 
 def _collider_joint(params: ColliderParams) -> list[tuple[int, int, int, int, float]]:
@@ -445,7 +404,7 @@ def demo_collider(
        scores it positive. The bivariate score ignores context and
        stays exactly zero; that honest exception is recorded as such.
     """
-    params = params or default_collider_params()
+    params = params or ColliderParams()
     d1 = _collider_dataset(params, ("earache",))
     d2 = _collider_dataset(params, ("gum",))
     d3 = _collider_dataset(params, ("earache", "gum"))
@@ -455,7 +414,7 @@ def demo_collider(
 
     earache_alone = float(t1.values[1])
     gum_alone = float(t2.values[1])
-    setting3 = {m.value: score_vector(m, t3).scores for m in ALL_METHODS}
+    setting3 = score_vectors(ALL_METHODS, t3)
 
     claims = [
         Claim(
@@ -474,7 +433,7 @@ def demo_collider(
         ),
     ]
     for m in ALL_METHODS:
-        value = float(setting3[m.value][0])
+        value = float(setting3[m].scores[0])
         claims.append(
             Claim(
                 f"earache_scored_with_gum[{m.value}]",
@@ -503,7 +462,7 @@ def demo_collider(
             "gum_only": _listify(t2.values),
             "earache_and_gum": _listify(t3.values),
         },
-        scores={"earache_and_gum": {k: _listify(v) for k, v in setting3.items()}},
+        scores={"earache_and_gum": _listed(setting3)},
         axiom_rows=(),
         claims=tuple(claims),
     )
@@ -541,11 +500,9 @@ def demo_toy_separable(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     )
     share_sum = sum(block_values)
 
+    vectors = score_vectors(ALL_METHODS, table)
     elimination = check_elimination(ScoreMethod.ABLATION, table, tol)
-    symmetry = {
-        m.value: check_symmetry(table, score_vector(m, table), "z_pair", tol)
-        for m in ALL_METHODS
-    }
+    symmetry = {m.value: check_symmetry(table, v, "z_pair", tol) for m, v in vectors.items()}
 
     claims = (
         Claim("table_matches_expected", table_gap <= 1e-9, _listify(table.values), expected),
@@ -590,7 +547,7 @@ def demo_toy_separable(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
         name="toy_separable",
         inputs={"rows": [[float(v) for v in row] for row in X], "target": _listify(y)},
         tables={"dataset": _listify(table.values), "meta": _listify(meta.values)},
-        scores={"dataset": _all_scores(table), "grouped": grouped},
+        scores={"dataset": _listed(vectors), "grouped": grouped},
         axiom_rows=(
             ("elimination[ablation]", elimination),
             *((f"symmetry[{k}]", v) for k, v in symmetry.items()),
@@ -601,8 +558,6 @@ def demo_toy_separable(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
 
 def render_scenario_markdown(report: ScenarioReport) -> str:
     """Human-oriented rendering; values at 12 significant digits."""
-    from .axioms import report_rows_markdown
-
     lines = [f"# scenario: {report.name}", ""]
     if report.inputs:
         lines.append("## inputs")

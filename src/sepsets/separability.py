@@ -32,6 +32,7 @@ from .subset_algebra import (
     Tolerance,
     ValueTable,
     _pinned,
+    check_feature_cap,
     indices_of,
     mask_of,
     mobius_transform,
@@ -324,10 +325,7 @@ def partition_from_dict(payload: dict, *, max_features: int = MAX_FEATURES) -> P
     if not isinstance(payload, dict) or "n" not in payload or "blocks" not in payload:
         raise PartitionError('a partition needs keys "n" and "blocks"')
     n = payload["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise PartitionError(f"feature count must be a positive integer, got {n!r}")
-    if n > max_features:
-        raise CapExceededError(f"n={n} exceeds the configured cap of {max_features} features")
+    check_feature_cap(n, max_features)
     blocks = payload["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise PartitionError('"blocks" must be a list of index lists')

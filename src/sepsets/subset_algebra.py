@@ -48,9 +48,6 @@ class Tolerance:
         """True when an absolute residual counts as zero."""
         return abs(residual) <= self.absolute
 
-    def scaled(self, factor: float) -> "Tolerance":
-        return Tolerance(self.absolute * factor)
-
 
 DEFAULT_TOL = Tolerance()
 
@@ -91,11 +88,6 @@ class ValueTable:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def value(self, mask: int) -> float:
-        if not 0 <= mask <= self.full_mask:
-            raise TableError(f"mask {mask} out of range for n={self.n}")
-        return float(self.values[mask])
 
 
 @dataclass(frozen=True, eq=False)

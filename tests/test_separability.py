@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepsets import (
+    CapExceededError,
     DegenerateInputError,
     MobiusTable,
     NotSeparableError,
@@ -32,6 +33,8 @@ from sepsets import (
     partition_from_dict,
     partition_to_dict,
     score_vector,
+    space_from_dict,
+    table_from_dict,
     validate_partition,
     zeta_transform,
 )
@@ -262,6 +265,30 @@ def test_partition_dict_rejects_non_integer_indices(index):
     # would reach the range comparison and raise a TypeError.
     with pytest.raises(PartitionError, match="block 1: feature index"):
         partition_from_dict({"n": 2, "blocks": [[0], [index]]})
+
+
+_LOADERS = {
+    "table": (table_from_dict, lambda n: {"n": n, "values": [0.0] * 4}),
+    "space": (
+        space_from_dict,
+        lambda n: {"n": n, "instances": [{"weight": 1, "values": [0.0] * 4}]},
+    ),
+    "partition": (partition_from_dict, lambda n: {"n": n, "blocks": [list(range(n))]}),
+}
+
+
+@pytest.mark.parametrize("kind", _LOADERS)
+def test_every_loader_enforces_the_same_feature_cap(kind):
+    # The cap is checked before the body is read, so a table or space
+    # payload may carry 4 values whatever its n.
+    load, payload = _LOADERS[kind]
+    with pytest.raises(CapExceededError, match="^max_features=30 exceeds the hard ceiling of 24$"):
+        load(payload(2), max_features=30)
+    with pytest.raises(CapExceededError, match="^n=25 exceeds the hard ceiling of 24 features$"):
+        load(payload(25))
+    with pytest.raises(CapExceededError, match="^n=21 exceeds the configured cap of 20 features$"):
+        load(payload(21))
+    assert load(payload(2), max_features=24).n == 2
 
 
 def test_enumerate_separable_sets_toy(toy_table):

@@ -196,7 +196,6 @@ def test_tolerance_contract():
     assert tol.within(5e-7)
     assert tol.within(-5e-7)
     assert not tol.within(2e-6)
-    assert tol.scaled(10).absolute == pytest.approx(1e-5)
     with pytest.raises(TableError):
         Tolerance(0.0)
     with pytest.raises(TableError):
