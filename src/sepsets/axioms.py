@@ -29,26 +29,20 @@ from .errors import TableError
 from .importance import (
     ImportanceVector,
     ScoreMethod,
-    _score_one,
-    _shapley_context_weights,
-    _shapley_shares,
-    _subgame_scores,
     _vectors_from_features,
+    _walk,
     restricted_vector,
     score_vector,
 )
 from .separability import is_separable
 from .subset_algebra import (
     DEFAULT_TOL,
-    MobiusTable,
     Tolerance,
     ValueTable,
     _context_mask,
     _halves,
     _marginals,
-    _subset_transform,
     indices_of,
-    mobius_transform,
 )
 
 SYMMETRY_VARIANTS = ("z_empty", "z_pair")
@@ -236,12 +230,8 @@ def check_elimination(
     """
     rises = []
     if table.n > 1 and method is not ScoreMethod.BIVARIATE:
-        shares = None
-        if method is ScoreMethod.SHAPLEY:
-            shares = _shapley_shares(mobius_transform(table).dividends, table.n)
-        for f in range(table.n):
-            diffs = None if shares is not None else _marginals(table.values, table.n, f)
-            rises.append(_rise(f, _subgame_scores(method, table, f, diffs, shares)))
+        for f, (_, _, (in_subgames,)) in enumerate(_walk(table, (), (method,))):
+            rises.append(_rise(f, in_subgames))
     return _elimination_report(rises, tol)
 
 
@@ -434,32 +424,20 @@ def audit_table(
     once and feed monotonicity, every rule's score, triviality item 2 and
     the ablation and MCI subgames; one feature's arrays live at a time.
     """
-    n, values = table.n, table.values
     methods = tuple(methods)
     rules = methods + (() if ScoreMethod.MCI in methods else (ScoreMethod.MCI,))
-    weights = _shapley_context_weights(n) if ScoreMethod.SHAPLEY in rules else None
-    dividends = shares = None
-    if ScoreMethod.SHAPLEY in methods and n > 1:
-        dividends = _subset_transform(values.copy(), n, np.subtract)
-        shares = _shapley_shares(dividends, n)
+    subgames = methods if table.n > 1 else ()
     descents, tops, per_feature = [], [], []
     rises: dict[ScoreMethod, list] = {m: [] for m in methods}
-    for f in range(n):
-        diffs = _marginals(values, n, f)
-        scores = [_score_one(m, table, f, diffs, weights) for m in rules]
+    for f, (diffs, scores, in_subgames) in enumerate(_walk(table, rules, subgames)):
         per_feature.append(scores)
-        descents.append(_descent(values, f, diffs))
+        descents.append(_descent(table.values, f, diffs))
         active = any(abs(s) > tol.absolute for s, _ in scores[: len(methods)])
         tops.append(float(np.max(np.abs(diffs))) if active else None)
-        for m in methods if n > 1 else ():
-            in_subgames = _subgame_scores(m, table, f, diffs, shares)
-            if in_subgames is not None:
-                rises[m].append(_rise(f, in_subgames))
+        for m, scored in zip(subgames, in_subgames):
+            if scored is not None:
+                rises[m].append(_rise(f, scored))
     vectors = _vectors_from_features(rules, per_feature)
-    if dividends is not None:
-        # Overflowing dividends raise here, after the scores, the order
-        # in which the separate checks meet the two errors.
-        MobiusTable(n, dividends)
     reference = vectors[ScoreMethod.MCI].scores
     pairs = _interchangeable(table, tol)
     rows = [

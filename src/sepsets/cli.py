@@ -42,13 +42,14 @@ from .separability import (
 )
 from .scenarios import (
     ColliderParams,
+    ScenarioReport,
     demo_collider,
     demo_mci_nonlinearity,
     demo_toy_separable,
     demo_twin_features,
     render_scenario_markdown,
 )
-from .subset_algebra import MAX_FEATURES, Tolerance, ValueTable, table_from_dict
+from .subset_algebra import DEFAULT_TOL, MAX_FEATURES, Tolerance, ValueTable, table_from_dict
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -66,7 +67,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-9, help="absolute tolerance (default 1e-9)")
+    tol = DEFAULT_TOL.absolute
+    shown = np.format_float_scientific(tol, trim="-", exp_digits=1)
+    p.add_argument("--tol", type=float, default=tol, help=f"absolute tolerance (default {shown})")
     p.add_argument(
         "--output",
         choices=("json", "markdown"),
@@ -138,23 +141,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=run_eval_dataset)
 
     p_demo = sub.add_parser("demo", help="run a built-in scenario")
-    p_demo.add_argument(
-        "name",
-        choices=("mci-nonlinearity", "twin-features", "collider", "toy-separable"),
-    )
-    d = ColliderParams()
-    p_demo.add_argument("--p-smoke", type=float, default=d.p_smoke)
-    p_demo.add_argument("--p-earache", type=float, default=d.p_earache)
+    scenarios = p_demo.add_subparsers(dest="name", required=True)
+    for name, scenario in (
+        ("mci-nonlinearity", lambda args, tol: demo_mci_nonlinearity(tol)),
+        ("twin-features", lambda args, tol: demo_twin_features(tol)),
+        ("collider", _collider),
+        ("toy-separable", lambda args, tol: demo_toy_separable(tol)),
+    ):
+        scenarios.add_parser(name).set_defaults(func=run_demo, scenario=scenario)
+    p_col, d = scenarios.choices["collider"], ColliderParams()
+    p_col.add_argument("--p-smoke", type=float, default=d.p_smoke)
+    p_col.add_argument("--p-earache", type=float, default=d.p_earache)
     (g00, g01), (g10, g11) = d.p_gum
-    p_demo.add_argument("--p-gum-00", type=float, default=g00, help="P(gum | no smoke, no earache)")
-    p_demo.add_argument("--p-gum-01", type=float, default=g01, help="P(gum | no smoke, earache)")
-    p_demo.add_argument("--p-gum-10", type=float, default=g10, help="P(gum | smoke, no earache)")
-    p_demo.add_argument("--p-gum-11", type=float, default=g11, help="P(gum | smoke, earache)")
+    p_col.add_argument("--p-gum-00", type=float, default=g00, help="P(gum | no smoke, no earache)")
+    p_col.add_argument("--p-gum-01", type=float, default=g01, help="P(gum | no smoke, earache)")
+    p_col.add_argument("--p-gum-10", type=float, default=g10, help="P(gum | smoke, no earache)")
+    p_col.add_argument("--p-gum-11", type=float, default=g11, help="P(gum | smoke, earache)")
     c0, c1 = d.p_cancer
-    p_demo.add_argument("--p-cancer-0", type=float, default=c0, help="P(cancer | no smoke)")
-    p_demo.add_argument("--p-cancer-1", type=float, default=c1, help="P(cancer | smoke)")
-    _add_common(p_demo)
-    p_demo.set_defaults(func=run_demo)
+    p_col.add_argument("--p-cancer-0", type=float, default=c0, help="P(cancer | no smoke)")
+    p_col.add_argument("--p-cancer-1", type=float, default=c1, help="P(cancer | smoke)")
+    for p in scenarios.choices.values():
+        _add_common(p)
 
     return parser
 
@@ -651,22 +658,18 @@ def run_eval_dataset(args) -> int:
     return _EXIT_OK
 
 
+def _collider(args, tol: Tolerance) -> ScenarioReport:
+    params = ColliderParams(
+        p_smoke=args.p_smoke,
+        p_earache=args.p_earache,
+        p_gum=((args.p_gum_00, args.p_gum_01), (args.p_gum_10, args.p_gum_11)),
+        p_cancer=(args.p_cancer_0, args.p_cancer_1),
+    )
+    return demo_collider(params, tol)
+
+
 def run_demo(args) -> int:
-    tol = Tolerance(args.tol)
-    if args.name == "mci-nonlinearity":
-        report = demo_mci_nonlinearity(tol)
-    elif args.name == "twin-features":
-        report = demo_twin_features(tol)
-    elif args.name == "toy-separable":
-        report = demo_toy_separable(tol)
-    else:
-        params = ColliderParams(
-            p_smoke=args.p_smoke,
-            p_earache=args.p_earache,
-            p_gum=((args.p_gum_00, args.p_gum_01), (args.p_gum_10, args.p_gum_11)),
-            p_cancer=(args.p_cancer_0, args.p_cancer_1),
-        )
-        report = demo_collider(params, tol)
+    report = args.scenario(args, Tolerance(args.tol))
     digest = hashlib.sha256(
         json.dumps(report.inputs, sort_keys=True).encode("utf-8")
     ).hexdigest()

@@ -36,6 +36,7 @@ from .subset_algebra import (
     _subset_transform,
     eliminate,
     mix,
+    mobius_transform,
     popcount_table,
 )
 
@@ -154,24 +155,37 @@ def _vectors_from_features(
     return vectors
 
 
+def _walk(
+    table: ValueTable, rules: tuple[ScoreMethod, ...], subgames: tuple[ScoreMethod, ...] = ()
+):
+    """Walk the features in ascending order, yielding each one's marginals
+    (None unless a rule or a subgame reads them), its ``_score_one`` result
+    under each of ``rules`` and its ``_subgame_scores`` under each of ``subgames``."""
+    weights = _shapley_context_weights(table.n) if ScoreMethod.SHAPLEY in rules else None
+    shares = _shapley_shares(table) if ScoreMethod.SHAPLEY in subgames else None
+    # Ablation and MCI subgames read the marginals, Shapley ones the shares.
+    reads = {*rules} & {*_MARGINAL_RULES} or {*subgames} & {ScoreMethod.ABLATION, ScoreMethod.MCI}
+    for f in range(table.n):
+        diffs = _marginals(table.values, table.n, f) if reads else None
+        yield (
+            diffs,
+            [_score_one(m, table, f, diffs, weights) for m in rules],
+            [_subgame_scores(m, table, f, diffs, shares) for m in subgames],
+        )
+
+
 def score_vectors(
     methods: tuple[ScoreMethod, ...], table: ValueTable
 ) -> dict[ScoreMethod, ImportanceVector]:
     """Score vectors under several rules from one walk over the features;
     a feature's marginals are computed once, when some rule reads them."""
     methods = tuple(methods)
-    weights = _shapley_context_weights(table.n) if ScoreMethod.SHAPLEY in methods else None
-    marginal = any(m in _MARGINAL_RULES for m in methods)
-    per_feature = []
-    for f in range(table.n):
-        diffs = _marginals(table.values, table.n, f) if marginal else None
-        per_feature.append([_score_one(m, table, f, diffs, weights) for m in methods])
-    return _vectors_from_features(methods, per_feature)
+    return _vectors_from_features(methods, [scores for _, scores, _ in _walk(table, methods)])
 
 
-def _shapley_shares(dividends: np.ndarray, n: int) -> np.ndarray:
+def _shapley_shares(table: ValueTable) -> np.ndarray:
     """Each dividend split evenly over its features: ``d(W) / |W|``, 0 at the empty set."""
-    return dividends / np.maximum(popcount_table(n), 1)
+    return mobius_transform(table).dividends / np.maximum(popcount_table(table.n), 1)
 
 
 def _subgame_scores(

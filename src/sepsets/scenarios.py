@@ -28,7 +28,6 @@ import numpy as np
 from .axioms import (
     AxiomReport,
     _largest_gap,
-    check_data_model_equivalence,
     check_elimination,
     check_null_feature,
     check_symmetry,
@@ -51,7 +50,6 @@ from .importance import (
     grouped_score_vector,
     score_vectors,
 )
-from .sample_space import SampleSpace, check_importance_consistency
 from .separability import induced_meta_table, maximal_partition
 from .subset_algebra import DEFAULT_TOL, Tolerance, ValueTable, mix
 
@@ -138,9 +136,8 @@ def demo_mci_nonlinearity(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     mci_first, mci_second, mci_mixed = s1[mci].scores, s2[mci].scores, s12[mci].scores
     mean_of_scores = mean[mci]
     margin = float(np.min(np.abs(mci_mixed - mean_of_scores)))
-
-    space = SampleSpace(2, ((alpha, first), (1.0 - alpha, second)))
-    consistency = check_importance_consistency(space, mci, tol)
+    # The mixture is the global table of the space weighting the two tables alpha, 1 - alpha.
+    consistency = _largest_gap("importance_consistency", mci_mixed, mean_of_scores, tol)
 
     claims = (
         Claim("mci_of_first", bool(np.array_equal(mci_first, [1.0, 2.0])),
@@ -222,7 +219,7 @@ def demo_twin_features(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
         "model0_grid": r2_value_table(grid_to_dataset(grid0, uniform)),
         "model1_grid": r2_value_table(grid_to_dataset(grid1, uniform)),
     }
-    nu_data, nu_m0_grid, nu_m1_grid = tables["data"], tables["model0_grid"], tables["model1_grid"]
+    nu_m0_grid, nu_m1_grid = tables["model0_grid"], tables["model1_grid"]
     vectors = {label: score_vectors(ALL_METHODS, t) for label, t in tables.items()}
 
     spread0 = null_feature_residual(grid0, 1)
@@ -254,14 +251,15 @@ def demo_twin_features(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
         axiom_rows.append((f"null_feature[{m.value},model0,data-weighted]", nf0))
         axiom_rows.append((f"null_feature[{m.value},model1,data-weighted]", nf1))
 
-        dme0 = check_data_model_equivalence(nu_data, nu_m0_grid, m, True, tol)
-        dme1 = check_data_model_equivalence(nu_data, nu_m1_grid, m, True, tol)
+        # Both models are perfect on the data, so equivalence applies to each.
+        data = vectors["data"][m].scores
+        dme0 = _largest_gap("data_model_equivalence", g0.scores, data, tol)
+        dme1 = _largest_gap("data_model_equivalence", g1.scores, data, tol)
         axiom_rows.append((f"data_model_equivalence[{m.value},model0,grid]", dme0))
         axiom_rows.append((f"data_model_equivalence[{m.value},model1,grid]", dme1))
 
-        dme_data = check_data_model_equivalence(
-            nu_data, tables["model0_data_weighted"], m, True, tol
-        )
+        weighted = vectors["model0_data_weighted"][m].scores
+        dme_data = _largest_gap("data_model_equivalence", weighted, data, tol)
         axiom_rows.append((f"data_model_equivalence[{m.value},model0,data-weighted]", dme_data))
 
         nf_grid = check_null_feature(grid0, g0, 1, tol)

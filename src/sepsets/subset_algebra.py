@@ -223,7 +223,10 @@ def mobius_transform(table: ValueTable) -> MobiusTable:
     Round-tripping through :func:`zeta_transform` reproduces the input
     to within ``1e-12 * max(1, max abs value)``.
     """
-    return MobiusTable(table.n, _subset_transform(table.values.copy(), table.n, np.subtract))
+    dividends = _subset_transform(table.values.copy(), table.n, np.subtract)
+    if not np.all(np.isfinite(dividends)):
+        raise TableError("interaction dividends overflow the float range")
+    return MobiusTable(table.n, dividends)
 
 
 def zeta_transform(dividends: MobiusTable) -> ValueTable:

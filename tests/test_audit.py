@@ -136,6 +136,16 @@ def test_audit_computes_each_features_marginals_once_per_table(capsys, tmp_path,
     assert len(marginals) <= n * 4
 
 
+def test_shapley_elimination_computes_no_marginals(monkeypatch):
+    # Shapley subgames read the dividends; ablation reads each feature's marginals.
+    table = seeded_table(8, 3, False)
+    marginals = _count_calls(monkeypatch, (subset_algebra, axioms, importance), "_marginals")
+    axioms.check_elimination(ScoreMethod.SHAPLEY, table)
+    assert marginals == []
+    axioms.check_elimination(ScoreMethod.ABLATION, table)
+    assert len(marginals) == 8
+
+
 _COMBINES = (np.add, np.subtract, np.maximum)
 
 

@@ -679,20 +679,33 @@ def test_many_brackets_never_reach_orjson(capsys, tmp_path, monkeypatch):
     assert len(seen) == 1
 
 
+# Finite, but its dividend at {0, 1} is -1e308 - 2e308.
+_HUGE = [0, 1e308, 1e308, -1e308]
+_DIVIDEND_OVERFLOW = "interaction dividends overflow the float range"
+
+
 @pytest.mark.parametrize(
-    "command, message",
+    "argv, values, message",
     [
-        ("scores", "scores must be finite"),
-        ("audit", "scores must be finite"),
-        ("partition", "value tables must be finite (no NaN or infinity)"),
+        pytest.param(["scores"], _HUGE, "scores must be finite", id="scores-scores must be finite"),
+        pytest.param(["audit"], _HUGE, _DIVIDEND_OVERFLOW, id="audit-dividend overflow"),
+        pytest.param(["partition"], _HUGE, _DIVIDEND_OVERFLOW, id="partition-dividend overflow"),
+        # Without Shapley the audit transforms nothing. Feature 0 gains
+        # 2e308 over the empty context, so its MCI score overflows.
+        pytest.param(
+            ["audit", "--method", "mci"],
+            [-1e308, 1e308, 0, 0],
+            "scores must be finite",
+            id="audit-mci-scores must be finite",
+        ),
     ],
 )
-def test_overflow_gives_one_error_line_and_no_warnings(capsys, tmp_path, command, message):
+def test_overflow_gives_one_error_line_and_no_warnings(capsys, tmp_path, argv, values, message):
     path = tmp_path / "huge.json"
-    path.write_text('{"n": 2, "values": [0, 1e308, 1e308, -1e308]}')
+    path.write_text(json.dumps({"n": 2, "values": values}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(capsys, [command, str(path)])
+        code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
     assert [str(w.message) for w in caught] == []
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
@@ -915,6 +928,12 @@ def test_demo_collider_flags(capsys):
     assert code == 0
     report = json.loads(out)["report"]
     assert report["inputs"]["p_cancer"] == [0.1, 0.6]
+
+
+@pytest.mark.parametrize("name", ["mci-nonlinearity", "twin-features", "toy-separable"])
+def test_collider_flags_are_refused_by_the_other_demos(capsys, name):
+    code, out, err = run(capsys, ["demo", name, "--p-smoke", "0.4"])
+    assert (code, out, err) == (1, "", "error: unrecognized arguments: --p-smoke 0.4\n")
 
 
 def test_demo_markdown(capsys):

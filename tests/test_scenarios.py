@@ -1,12 +1,13 @@
 """Built-in demonstration scenarios and their frozen outcomes."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sepsets import ScoreMethod, Tolerance
+from sepsets import ScoreMethod, Tolerance, importance
 from sepsets.cli import main
 from sepsets.scenarios import (
     ColliderParams,
@@ -146,6 +147,29 @@ def test_demo_stdout_matches_golden_file(capsys, stem):
     assert main(DEMO_GOLDEN[stem]) == 0
     expected = (GOLDEN / f"{stem}.stdout").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of ``importance.name`` through every sepsets module that binds it."""
+    calls = []
+    original = getattr(importance, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key.partition(".")[0] == "sepsets" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(("build", "tables"), [(demo_twin_features, 5), (demo_mci_nonlinearity, 3)])
+def test_demo_scores_each_table_once(monkeypatch, build, tables):
+    vectors = _count_calls(monkeypatch, "score_vectors")
+    singles = _count_calls(monkeypatch, "score_vector")
+    build(TOL)
+    assert (len(vectors), len(singles)) == (tables, 0)
 
 
 def test_markdown_rendering_mentions_claims():
