@@ -77,6 +77,8 @@ class AxiomReport:
     detail: str = ""
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.residual):
+            raise TableError(f"{self.axiom} residual overflows the float range")
         if self.passed != (self.residual <= self.tol):
             raise TableError(
                 f"inconsistent report for {self.axiom}: passed={self.passed} "
@@ -208,12 +210,12 @@ def _rise(f: int, in_subgames: np.ndarray) -> tuple[float, Witness]:
 
 
 def _elimination_report(rises, tol: Tolerance) -> AxiomReport:
-    """Fold the features' rises; equal rises go to the lowest drop mask."""
-    worst, witness = 0.0, None
-    for rise, w in rises:
-        if rise > worst or (rise == worst and witness is not None and w.subset < witness.subset):
-            worst, witness = rise, w
-    return _report("elimination", tol, worst, witness)
+    """Fold the features' rises; equal rises go to the lowest drop mask.
+
+    ``rises`` come in ascending feature order, which the stable sort keeps
+    within each drop mask."""
+    by_drop = sorted(rises, key=lambda pair: pair[1].subset)
+    return _report("elimination", tol, *_first_worst(by_drop))
 
 
 def check_elimination(
@@ -258,25 +260,22 @@ def _triviality_report(
     magnitude = np.abs(values)
     active = np.abs(scores) > tol.absolute
     active_mask = sum(1 << f for f in range(n) if active[f])
-    worst, witness = 0.0, None
+    candidates = []
     # Item 1: valued subsets without an active member; the first maximum wins.
     silent = (magnitude > tol.absolute) & (np.arange(1 << n) & active_mask == 0)
     s = int(np.argmax(np.where(silent, magnitude, 0.0)))
     if silent[s]:
-        worst = float(magnitude[s])
         peak = max((abs(float(scores[f])) for f in indices_of(s)), default=0.0)
-        witness = Witness(subset=s, lhs=float(values[s]), rhs=peak)
+        candidates.append((float(magnitude[s]), Witness(subset=s, lhs=float(values[s]), rhs=peak)))
     # Item 2, ascending feature scan.
     for f in range(n):
         if not active[f]:
             continue
         highest = top(f)
-        if highest > tol.absolute:
-            continue
-        residual = abs(float(scores[f]))
-        if residual > worst:
-            worst = residual
+        if highest <= tol.absolute:
             witness = Witness(feature=f, lhs=float(scores[f]), rhs=highest)
+            candidates.append((abs(float(scores[f])), witness))
+    worst, witness = _first_worst(candidates)
     if witness is not None:
         return AxiomReport("triviality", False, worst, tol.absolute, witness=witness)
     if not np.any(magnitude > tol.absolute) and not np.any(active):
@@ -473,8 +472,6 @@ def check_separable_importance(
     for every feature, the subset must be separable. Each direction is
     vacuous when its hypothesis fails.
     """
-    if not 0 <= subset <= table.full_mask:
-        raise TableError(f"subset mask {subset} out of range for n={table.n}")
     sep = is_separable(table, subset, tol)
     full_scores = score_vector(method, table).scores
     combined = restricted_vector(method, table, subset) + restricted_vector(

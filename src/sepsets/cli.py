@@ -591,10 +591,6 @@ def run_partition(args) -> int:
         ],
     }
     if args.with_oracle:
-        if table.n > ORACLE_MAX_FEATURES:
-            raise _UsageError(
-                f"--with-oracle is capped at {ORACLE_MAX_FEATURES} features, got n={table.n}"
-            )
         oracle = maximal_partition_oracle(table, tol)
         agrees = oracle.blocks == partition.blocks
         report["oracle"] = {"blocks": partition_to_dict(oracle)["blocks"], "agrees": agrees}

@@ -184,7 +184,9 @@ def score_vectors(
 
 
 def _shapley_shares(table: ValueTable) -> np.ndarray:
-    """Each dividend split evenly over its features: ``d(W) / |W|``, 0 at the empty set."""
+    """Each dividend split evenly over its features: ``d(W) / |W|``.
+
+    Entry 0 holds ``d({}) / 1 = v({})``; no subgame reads it."""
     return mobius_transform(table).dividends / np.maximum(popcount_table(table.n), 1)
 
 

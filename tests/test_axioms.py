@@ -295,6 +295,12 @@ def test_separable_importance_item1_vacuous_on_nonseparable(toy_table):
     assert shap.item1.vacuous and shap.item2.vacuous
 
 
+@pytest.mark.parametrize("subset", [-1, 0b1000])
+def test_separable_importance_rejects_an_out_of_range_subset(toy_table, subset):
+    with pytest.raises(TableError, match=rf"^subset mask {subset} out of range for n=3$"):
+        check_separable_importance(toy_table, ScoreMethod.MCI, subset, TOL)
+
+
 def test_separable_importance_item2_violation():
     # Bivariate scores are additive across {0} here, yet the set is not
     # separable: the converse direction fails with a subset witness.

@@ -251,8 +251,7 @@ def test_partition_oracle_cap(capsys, tmp_path):
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"n": 13, "values": [0.0] * (1 << 13)}))
     code, _, err = run(capsys, ["partition", str(big), "--with-oracle"])
-    assert code == 1
-    assert "capped" in err
+    assert (code, err) == (1, "error: exhaustive enumeration is capped at 12 features, got n=13\n")
 
 
 def test_eval_dataset_writes_table(capsys, tmp_path):
@@ -351,6 +350,29 @@ def test_csv_repeated_header_name(capsys, tmp_path):
     )
     assert code == 1
     assert "'a'" in err and "more than once" in err
+
+
+@pytest.mark.parametrize(
+    "name, content, argv, message",
+    [
+        ("t.csv", "a,y\n1.0,2.0\n", ["audit"],
+         "audit expects a value-table or sample-space JSON file"),
+        ("t.json", "{}", ["eval-dataset", "--target", "y"], "eval-dataset expects a CSV file"),
+        ("t.csv", "a,y\n1.0,2.0\n", ["scores", "--target", "y", "--weight-col", "w"],
+         "{path}: no column named 'w'; columns are ['a', 'y']"),
+        ("t.csv", "y,w\n1.0,2.0\n", ["scores", "--target", "y", "--weight-col", "w"],
+         "{path}: no feature columns remain"),
+        ("t.csv", "", ["scores", "--target", "y"],
+         "{path}: need a header row and at least one data row"),
+    ],
+    ids=["audit-csv", "eval-dataset-json", "missing-weight-col", "no-features", "empty-csv"],
+)
+def test_input_errors_exit_one_with_one_error_line(capsys, tmp_path, name, content, argv, message):
+    path = tmp_path / name
+    path.write_text(content)
+    table_out = ["--table-out", str(tmp_path / "out.json")] if argv[0] == "eval-dataset" else []
+    code, out, err = run(capsys, [argv[0], str(path), *argv[1:], *table_out])
+    assert (code, out, err) == (1, "", f"error: {message.format(path=path)}\n")
 
 
 @pytest.mark.parametrize("command", ["scores", "eval-dataset"])
@@ -697,6 +719,14 @@ _DIVIDEND_OVERFLOW = "interaction dividends overflow the float range"
             [-1e308, 1e308, 0, 0],
             "scores must be finite",
             id="audit-mci-scores must be finite",
+        ),
+        # Feature 0 loses 2e308 in context {1}, yet its MCI score is 1e308:
+        # only the monotonicity residual overflows.
+        pytest.param(
+            ["audit", "--method", "mci"],
+            _HUGE,
+            "monotonicity residual overflows the float range",
+            id="audit-mci-residual overflow",
         ),
     ],
 )
