@@ -116,7 +116,7 @@ def test_audit_computes_each_features_marginals_once_per_table(capsys, tmp_path,
     n = 10
     rng = np.random.default_rng(7)
     table = tmp_path / "table.json"
-    table.write_text(sepsets.cli._table_json(seeded_table(n, 7, False)))
+    table.write_bytes(sepsets.cli._table_json(seeded_table(n, 7, False)))
     marginals = _count_calls(monkeypatch, (subset_algebra, axioms, importance), "_marginals")
     assert main(["audit", str(table)]) == 0
     assert len(marginals) <= n

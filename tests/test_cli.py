@@ -280,9 +280,31 @@ def test_eval_dataset_writes_table(capsys, tmp_path):
 )
 @example([-0.0, 5e-324, 1e308, -1e308])
 @example([0.0, -0.0, 5e-324, -5e-324, 1e308, 2.2250738585072014e-308, 0.1, 1e16])
+# The edges of the range where orjson's text is kept, on both sides.
+@example([1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0), 1e15, 1e-5, 5e-324, 0.0])
+@example([-1e-4, -np.nextafter(1e-4, 0), -1e16, -np.nextafter(1e16, 0), -1e15, -1e-5, -0.0, 1.0])
+# An n=10 table of both kinds of token, from 1e-320 to 1e300 in magnitude.
+@example((np.geomspace(1e-320, 1e300, 1 << 10) * np.resize([1, -1, -1], 1 << 10)).tolist())
 def test_table_json_matches_indented_json(values):
     table = new_value_table(len(values).bit_length() - 1, values)
-    assert _table_json(table) == json.dumps(table_to_dict(table), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(table_to_dict(table), indent=2, sort_keys=True) + "\n"
+    assert _table_json(table) == expected.encode()
+
+
+def test_orjson_writes_repr_where_the_table_writer_keeps_its_text():
+    # _table_json keeps orjson's text for zeros and for 1e-4 <= |x| < 1e16.
+    # A release of orjson that writes another notation there fails here.
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    magnitudes = 10 ** rng.uniform(-4, 16, 200_000) * rng.uniform(1, 1.5, 200_000)
+    edges = [1e-4, np.nextafter(1e-4, 1), np.nextafter(1e16, 0), 1e15, 0.0, 1.0, 0.1, 123.0]
+    values = np.concatenate([bits, magnitudes, edges])
+    values = np.concatenate([values, -values])
+    size = np.abs(values)
+    values = values[((size >= 1e-4) & (size < 1e16)) | (values == 0)]
+    assert values.size > 200_000
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    assert text[1:-1].split(b",") == [repr(x).encode() for x in values.tolist()]
 
 
 def test_eval_dataset_notes_weight_normalization(capsys, tmp_path):
@@ -802,8 +824,7 @@ def test_csv_loader_exits_zero_or_one_with_an_error_line(capsys, tmp_path, case)
     if command == "eval-dataset":
         argv += ["--table-out", str(tmp_path / "t.json")]
     with warnings.catch_warnings():
-        # A warning, such as numpy's UserWarning on a CSV body with no rows,
-        # would print lines of its own next to the error line.
+        # A warning would print lines of its own next to the error line.
         warnings.simplefilter("error")
         code, _, err = run(capsys, argv)
     assert code in (0, 1)
@@ -812,8 +833,8 @@ def test_csv_loader_exits_zero_or_one_with_an_error_line(capsys, tmp_path, case)
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-# Cells numpy and float() might read differently, or not at all, and a
-# field one past the csv module's field limit that numpy reads as 1.0.
+# Cells orjson and float() might read differently, or not at all, and a
+# field one past the csv module's field limit.
 _AWKWARD_CELLS = [
     "1_0",
     "\u0661\u0662",
@@ -833,6 +854,14 @@ _AWKWARD_CELLS = [
     "\ufeff1",
     "1\x00",
     "0" * 131072 + "1",
+    "-0",
+    '"-0"',
+    "1e-0",
+    "00",
+    "1.",
+    "18446744073709551617",
+    "true",
+    '"\\u0031"',
 ]
 
 
@@ -859,7 +888,8 @@ def _csv_documents(draw):
         names[0] = draw(st.sampled_from(['"x0"', '"x,0"', '"x\n0"', " x0 "]))
     lines = [",".join(names)] + [",".join(row) for row in rows]
     for _ in range(draw(st.integers(0, 2))):
-        blank = draw(st.sampled_from(["", ",", " , ", "  ", ",,,,"]))
+        # '","' is no blank row: its one cell holds a comma.
+        blank = draw(st.sampled_from(["", ",", " , ", "  ", ",,,,", '"",""', '","']))
         lines.insert(draw(st.integers(0, len(lines))), blank)
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
@@ -868,22 +898,33 @@ def _csv_documents(draw):
     return text.encode(), options
 
 
-def _loadtxt_raises(*args, **kwargs):
-    raise ValueError("rejected")
+def _loaded(path, data, options):
+    """What ``_load_csv`` returns, with each array's shape and bits, or its error."""
+    weight_col = "w" if "--weight-col" in options else None
+    try:
+        loaded = cli._load_csv(path, data, "y", weight_col)
+    except cli._UsageError as exc:
+        return str(exc)
+    return [(a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in loaded]
 
 
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(_csv_documents(), st.sampled_from(["scores", "eval-dataset"]))
-# Each would pass numpy and fail the walk, or give other rows, without
-# its own guard: a separator byte, a field past the limit, a lone CR
-# ending the header, a BOM in the body.
+# Each would pass orjson and fail the walk, or give other rows or other
+# bits, without its own guard: a separator byte, a field past the limit,
+# a lone CR ending the header, a BOM in the body, a quote after a blank,
+# an integer -0, a JSON literal, rows of one cell under a longer header.
 @example((b"x0,y\n\x1c1,2\n3,5\n", ["--target", "y"]), "eval-dataset")
-@example((("x0,y\n" + "0" * 131072 + "1,2\n3,5\n").encode(), ["--target", "y"]), "scores")
+@example((("x0,y\n0." + "0" * 131071 + "1,2\n3,5\n").encode(), ["--target", "y"]), "scores")
 @example((b"x0,y\r1,2\n3,5\n4,4\n", ["--target", "y"]), "eval-dataset")
 @example(("x0,y\n\ufeff1,2\n3,5\n".encode(), ["--target", "y"]), "scores")
-def test_numpy_csv_path_reports_what_the_row_walk_reports(
+@example((b'x0,y\n "1",2\n3,5\n', ["--target", "y"]), "scores")
+@example((b"x0,y\n-0,2\n3,5\n", ["--target", "y"]), "eval-dataset")
+@example((b"x0,y\ntrue,2\n3,5\n", ["--target", "y"]), "scores")
+@example((b"x0,y\n1\n2\n", ["--target", "y"]), "scores")
+def test_fast_csv_path_reports_what_the_row_walk_reports(
     capsys, tmp_path, monkeypatch, case, command
 ):
     data, options = case
@@ -896,18 +937,19 @@ def test_numpy_csv_path_reports_what_the_row_walk_reports(
     def outcome():
         table_out.unlink(missing_ok=True)
         result = run(capsys, argv)
-        return result, table_out.read_bytes() if table_out.exists() else None
+        written = table_out.read_bytes() if table_out.exists() else None
+        return result, written, _loaded(path, data, options)
 
     fast = outcome()
     with monkeypatch.context() as patch:
-        patch.setattr(np, "loadtxt", _loadtxt_raises)
+        patch.setattr(cli, "_fast_csv", lambda raw: None)
         reference = outcome()
     assert fast == reference
 
 
 @pytest.mark.parametrize("data", [b"x0,y\n", b"x0,y\n\n\n", b"\xef\xbb\xbfx0,y\r\n , \r\n"])
 def test_csv_without_rows_gives_one_error_line_and_no_warnings(capsys, tmp_path, data):
-    # numpy warns on a body with no rows; the warning must not print.
+    # No warning may print next to the error line.
     path = tmp_path / "empty.csv"
     path.write_bytes(data)
     with warnings.catch_warnings(record=True) as caught:
@@ -919,7 +961,15 @@ def test_csv_without_rows_gives_one_error_line_and_no_warnings(capsys, tmp_path,
 
 
 @pytest.mark.parametrize(
-    "layout", ["plain", "bom-crlf-no-final-eol", "quoted-blank-lines", "quoted-header-newline"]
+    "layout",
+    [
+        "plain",
+        "bom-crlf-no-final-eol",
+        "quoted-blank-lines",
+        "quoted-header-newline",
+        "blank-cell-rows",
+        "quoted-blank-cells",
+    ],
 )
 def test_valid_csv_layouts_never_reach_the_row_walk(capsys, tmp_path, monkeypatch, layout):
     def refuse(*args):
@@ -932,6 +982,12 @@ def test_valid_csv_layouts_never_reach_the_row_walk(capsys, tmp_path, monkeypatc
         "quoted-blank-lines": "\n\n".join('"' + line.replace(",", '","') + '"' for line in lines),
         # The first column is named "f\n0": the header takes two lines.
         "quoted-header-newline": '"f\n0"' + "\r\n\r\n".join(lines).removeprefix("f0") + "\n",
+        # Rows of blank cells, which the walk skips, between every two
+        # rows, the second time between rows of quoted cells.
+        "blank-cell-rows": "\n , , , \n".join(lines) + "\n\t,,\n",
+        "quoted-blank-cells": "\r\n , \r\n".join(
+            '"' + line.replace(",", '","') + '"' for line in lines
+        ),
     }[layout]
     path, table_out = tmp_path / "toy.csv", tmp_path / "t.json"
     path.write_bytes(text.encode())
