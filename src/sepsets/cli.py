@@ -49,7 +49,7 @@ from .scenarios import (
     demo_twin_features,
     render_scenario_markdown,
 )
-from .subset_algebra import DEFAULT_TOL, MAX_FEATURES, Tolerance, ValueTable, table_from_dict
+from .subset_algebra import DEFAULT_TOL, Tolerance, ValueTable, table_from_dict
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -66,10 +66,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> Tolerance:
+    """The ``--tol`` flag, checked while the arguments are parsed."""
+    try:
+        return Tolerance(float(text))
+    except TableError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    tol = DEFAULT_TOL.absolute
-    shown = np.format_float_scientific(tol, trim="-", exp_digits=1)
-    p.add_argument("--tol", type=float, default=tol, help=f"absolute tolerance (default {shown})")
+    shown = np.format_float_scientific(DEFAULT_TOL.absolute, trim="-", exp_digits=1)
+    p.add_argument(
+        "--tol", type=_tolerance, default=DEFAULT_TOL, help=f"absolute tolerance (default {shown})"
+    )
     p.add_argument(
         "--output",
         choices=("json", "markdown"),
@@ -98,14 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_scores.add_argument("input", type=Path)
     p_scores.add_argument("--target", default=None, help="CSV target column name")
     p_scores.add_argument("--weight-col", default=None, help="CSV weight column name")
-    p_scores.add_argument("--max-features", type=int, default=MAX_FEATURES)
     _add_methods(p_scores)
     _add_common(p_scores)
     p_scores.set_defaults(func=run_scores)
 
     p_audit = sub.add_parser("audit", help="axiom audit of a table or sample space")
     p_audit.add_argument("input", type=Path)
-    p_audit.add_argument("--max-features", type=int, default=MAX_FEATURES)
     p_audit.add_argument(
         "--fail-on-violation",
         action="store_true",
@@ -117,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_part = sub.add_parser("partition", help="maximal separable partition of a table")
     p_part.add_argument("input", type=Path)
-    p_part.add_argument("--max-features", type=int, default=MAX_FEATURES)
     p_part.add_argument(
         "--with-oracle",
         action="store_true",
@@ -133,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("input", type=Path)
     p_eval.add_argument("--target", required=True, help="target column name")
     p_eval.add_argument("--weight-col", default=None, help="weight column name")
-    p_eval.add_argument("--max-features", type=int, default=MAX_FEATURES)
     p_eval.add_argument(
         "--table-out", type=Path, required=True, help="write the value-table file here"
     )
@@ -261,7 +268,7 @@ def _read_json(
         if kind not in kinds:
             raise _UsageError(wrong_kind.format(kind=kind))
         from_dict = table_from_dict if kind == "table" else space_from_dict
-        return from_dict(payload, max_features=args.max_features)
+        return from_dict(payload)
 
     raw = args.input.read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
@@ -476,7 +483,7 @@ def _csv_table(args) -> tuple[ValueTable, int, list[str], list[str], str]:
     raw = args.input.read_bytes()
     X, y, w, names, raw_sum = _load_csv(args.input, raw, args.target, args.weight_col)
     data = new_dataset(X, y, w)
-    table = r2_value_table(data, max_features=args.max_features)
+    table = r2_value_table(data)
     notes = []
     if w is not None and abs(raw_sum - 1.0) > 1e-12:
         notes.append(f"weight column summed to {raw_sum:.12g}; weights normalized")
@@ -511,7 +518,7 @@ def _emit(args, command: str, digest: str | None, report: dict, markdown: str) -
         "tool": "sepsets",
         "version": __version__,
         "command": command,
-        "tolerance": args.tol,
+        "tolerance": args.tol.absolute,
         "input_sha256": digest,
         "report": report,
     }
@@ -522,14 +529,14 @@ def _emit(args, command: str, digest: str | None, report: dict, markdown: str) -
             f"# sepsets {command}",
             "",
             f"- version: {__version__}",
-            f"- tolerance: {args.tol:.12g}",
+            f"- tolerance: {args.tol.absolute:.12g}",
         ]
         if digest is not None:
             head.append(f"- input sha256: {digest}")
         text = "\n".join(head) + "\n\n" + markdown
-    sys.stdout.write(text)
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -537,7 +544,6 @@ def _emit(args, command: str, digest: str | None, report: dict, markdown: str) -
 
 def run_scores(args) -> int:
     table, digest, extras = _table_from_input(args)
-    Tolerance(args.tol)  # validates the flag even though scoring itself needs no tolerance
     methods = _methods(args)
     per_method: dict = {}
     for m, vec in score_vectors(methods, table).items():
@@ -558,7 +564,6 @@ def run_scores(args) -> int:
 
 def run_audit(args) -> int:
     notes: list[str] = []
-    tol = Tolerance(args.tol)
     methods = _methods(args)
 
     if args.input.suffix.lower() == ".csv":
@@ -567,9 +572,9 @@ def run_audit(args) -> int:
         args, ("table", "space"), "audit expects a value table or sample space, got a {kind} file"
     )
     if isinstance(loaded, ValueTable):
-        rows, _ = audit_table(loaded, "table", methods, tol)
+        rows, _ = audit_table(loaded, "table", methods, args.tol)
     else:
-        rows = audit_space(loaded, methods, tol)
+        rows = audit_space(loaded, methods, args.tol)
         notes.append(
             "value consistency compares the aggregated global table against itself; "
             "it fails only for an externally supplied claim"
@@ -591,8 +596,7 @@ def run_partition(args) -> int:
     if args.input.suffix.lower() == ".csv":
         raise _UsageError("partition expects a value-table JSON file")
     table, digest = _read_json(args, ("table",), "partition expects a value-table JSON file")
-    tol = Tolerance(args.tol)
-    partition, block_reports = maximal_partition_reports(table, tol)
+    partition, block_reports = maximal_partition_reports(table, args.tol)
     report = {
         "partition": partition_to_dict(partition),
         "block_reports": [
@@ -606,7 +610,7 @@ def run_partition(args) -> int:
         ],
     }
     if args.with_oracle:
-        oracle = maximal_partition_oracle(table, tol)
+        oracle = maximal_partition_oracle(table, args.tol)
         agrees = oracle.blocks == partition.blocks
         report["oracle"] = {"blocks": partition_to_dict(oracle)["blocks"], "agrees": agrees}
         if not agrees:
@@ -659,7 +663,6 @@ def run_eval_dataset(args) -> int:
     if args.input.suffix.lower() != ".csv":
         raise _UsageError("eval-dataset expects a CSV file")
     table, rows, names, notes, digest = _csv_table(args)
-    Tolerance(args.tol)
     args.table_out.write_bytes(_table_json(table))
     report = {
         "rows": rows,
@@ -692,7 +695,7 @@ def _collider(args, tol: Tolerance) -> ScenarioReport:
 
 
 def run_demo(args) -> int:
-    report = args.scenario(args, Tolerance(args.tol))
+    report = args.scenario(args, args.tol)
     digest = hashlib.sha256(
         json.dumps(report.inputs, sort_keys=True).encode("utf-8")
     ).hexdigest()

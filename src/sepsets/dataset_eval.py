@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DegenerateInputError, TableError
-from .subset_algebra import MAX_FEATURES, ValueTable, check_feature_cap, new_value_table
+from .subset_algebra import ValueTable, check_feature_count
 
 # A column is dependent when its residual is at most this fraction of its norm.
 _SVD_RCOND = 1e-10
@@ -109,13 +109,13 @@ def new_dataset(
     return Dataset(X, np.asarray(y, dtype=np.float64), np.asarray(w, dtype=np.float64))
 
 
-def r2_value_table(data: Dataset, *, max_features: int = MAX_FEATURES) -> ValueTable:
+def r2_value_table(data: Dataset) -> ValueTable:
     """Value table of the built-in fit-quality metric, one entry per subset.
 
     Built by the walk described in the module docstring.
     """
     n = data.n
-    check_feature_cap(n, max_features)
+    check_feature_count(n)
     # Scaling a column by a power of two is exact and moves no value; it
     # keeps the squares of columns in huge or tiny units in float range.
     A = np.column_stack([data.X, data.y]) * np.sqrt(data.w)[:, None]
@@ -138,7 +138,7 @@ def r2_value_table(data: Dataset, *, max_features: int = MAX_FEATURES) -> ValueT
     # values[0] is ||r_y||^2, summed as every residual energy is, so a
     # fit that explains nothing gets value 0 exactly.
     values = 1.0 - values / values[0]
-    return new_value_table(n, values, max_features=max_features)
+    return ValueTable(n, values)
 
 
 def _walk_step(state: np.ndarray, norm: float) -> np.ndarray:
@@ -160,12 +160,7 @@ def _walk_step(state: np.ndarray, norm: float) -> np.ndarray:
     return out
 
 
-def model_value_table(
-    data: Dataset,
-    model_outputs: np.ndarray | Iterable,
-    *,
-    max_features: int = MAX_FEATURES,
-) -> ValueTable:
+def model_value_table(data: Dataset, model_outputs: np.ndarray | Iterable) -> ValueTable:
     """Value table with a model's predictions standing in for the target.
 
     Rejects output vectors of the wrong length and models whose outputs
@@ -176,7 +171,7 @@ def model_value_table(
         raise TableError(
             f"model outputs must have shape ({data.m},), got {outputs.shape}"
         )
-    return r2_value_table(Dataset(data.X, outputs, data.w), max_features=max_features)
+    return r2_value_table(Dataset(data.X, outputs, data.w))
 
 
 @dataclass(frozen=True, eq=False)

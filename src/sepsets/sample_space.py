@@ -25,10 +25,9 @@ from .errors import DegenerateInputError, TableError
 from .importance import ScoreMethod, score_vector, score_vectors
 from .subset_algebra import (
     DEFAULT_TOL,
-    MAX_FEATURES,
     Tolerance,
     ValueTable,
-    check_feature_cap,
+    check_feature_count,
     json_reals,
     table_from_dict,
 )
@@ -163,12 +162,12 @@ def space_to_dict(space: SampleSpace) -> dict:
     }
 
 
-def space_from_dict(payload: dict, *, max_features: int = MAX_FEATURES) -> SampleSpace:
+def space_from_dict(payload: dict) -> SampleSpace:
     """Parse the dict form of :func:`space_to_dict`; each instance obeys the feature cap."""
     if not isinstance(payload, dict) or "n" not in payload or "instances" not in payload:
         raise TableError('a sample space needs keys "n" and "instances"')
     n = payload["n"]
-    check_feature_cap(n, max_features)
+    check_feature_count(n)
     rows: Sequence = payload["instances"]
     if not isinstance(rows, list) or not rows:
         raise TableError('"instances" must be a nonempty list')
@@ -179,7 +178,7 @@ def space_from_dict(payload: dict, *, max_features: int = MAX_FEATURES) -> Sampl
     tables = []
     for i, row in enumerate(rows):
         try:
-            table = table_from_dict({"n": n, "values": row["values"]}, max_features=max_features)
+            table = table_from_dict({"n": n, "values": row["values"]})
         except TableError as exc:
             raise TableError(f"instance {i}: {exc}") from None
         tables.append(table)

@@ -28,11 +28,10 @@ from .errors import (
 )
 from .subset_algebra import (
     DEFAULT_TOL,
-    MAX_FEATURES,
     Tolerance,
     ValueTable,
     _pinned,
-    check_feature_cap,
+    check_feature_count,
     indices_of,
     mask_of,
     mobius_transform,
@@ -321,11 +320,11 @@ def partition_to_dict(partition: Partition) -> dict:
     }
 
 
-def partition_from_dict(payload: dict, *, max_features: int = MAX_FEATURES) -> Partition:
+def partition_from_dict(payload: dict) -> Partition:
     if not isinstance(payload, dict) or "n" not in payload or "blocks" not in payload:
         raise PartitionError('a partition needs keys "n" and "blocks"')
     n = payload["n"]
-    check_feature_cap(n, max_features)
+    check_feature_count(n)
     blocks = payload["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise PartitionError('"blocks" must be a list of index lists')

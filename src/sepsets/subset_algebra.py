@@ -24,10 +24,9 @@ import numpy as np
 
 from .errors import CapExceededError, TableError
 
-# Soft default cap; factories accept an override up to the hard ceiling.
+# Every table holds 2^n float64 values; past this cap memory and time
+# grow beyond what a dense table is for.
 MAX_FEATURES = 20
-# Dense 2^n storage stops being sane past this point. Never raised.
-HARD_FEATURE_CEILING = 24
 
 
 @dataclass(frozen=True)
@@ -63,15 +62,15 @@ def _as_table_array(values: Iterable[float] | np.ndarray, n: int) -> np.ndarray:
     return arr
 
 
-def _check_n(n: int) -> None:
+def check_feature_count(n: int) -> None:
+    """Raise unless n is an integer from 1 to the cap; callers that
+    build 2^n entries check before they build."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise TableError(f"feature count must be an integer, got {n!r}")
     if n < 1:
         raise TableError(f"feature count must be at least 1, got {n}")
-    if n > HARD_FEATURE_CEILING:
-        raise CapExceededError(
-            f"n={n} exceeds the hard ceiling of {HARD_FEATURE_CEILING} features"
-        )
+    if n > MAX_FEATURES:
+        raise CapExceededError(f"n={n} exceeds the cap of {MAX_FEATURES} features")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +81,7 @@ class ValueTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        check_feature_count(self.n)
         object.__setattr__(self, "values", _as_table_array(self.values, self.n))
 
     @property
@@ -98,35 +97,8 @@ class MobiusTable:
     dividends: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        check_feature_count(self.n)
         object.__setattr__(self, "dividends", _as_table_array(self.dividends, self.n))
-
-
-def new_value_table(
-    n: int,
-    values: Iterable[float] | np.ndarray,
-    *,
-    max_features: int = MAX_FEATURES,
-) -> ValueTable:
-    """Validating constructor for :class:`ValueTable`.
-
-    ``max_features`` loosens the default cap (dense tables grow as 2^n);
-    it can never exceed the hard ceiling of 24.
-    """
-    check_feature_cap(n, max_features)
-    return ValueTable(n, values)
-
-
-def check_feature_cap(n: int, max_features: int) -> None:
-    """Raise unless a table on n features fits the cap; callers that
-    build 2^n entries check before they build."""
-    _check_n(n)
-    if max_features > HARD_FEATURE_CEILING:
-        raise CapExceededError(
-            f"max_features={max_features} exceeds the hard ceiling of {HARD_FEATURE_CEILING}"
-        )
-    if n > max_features:
-        raise CapExceededError(f"n={n} exceeds the configured cap of {max_features} features")
 
 
 def full_mask(n: int) -> int:
@@ -291,13 +263,13 @@ def json_reals(items: list, what: str) -> np.ndarray:
         raise TableError(f"every {what} must lie within the float range") from None
 
 
-def table_from_dict(payload: dict, *, max_features: int = MAX_FEATURES) -> ValueTable:
+def table_from_dict(payload: dict) -> ValueTable:
     """Parse the dict form produced by :func:`table_to_dict`."""
     if not isinstance(payload, dict) or "n" not in payload or "values" not in payload:
         raise TableError('a value table needs keys "n" and "values"')
     n = payload["n"]
-    _check_n(n)
+    check_feature_count(n)
     values = payload["values"]
     if not isinstance(values, (list, tuple)):
         raise TableError('"values" must be a list of reals in mask order')
-    return new_value_table(n, json_reals(values, "value"), max_features=max_features)
+    return ValueTable(n, json_reals(values, "value"))

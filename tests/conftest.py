@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sepsets import MobiusTable, indices_of, new_value_table, zeta_transform
+from sepsets import MobiusTable, ValueTable, indices_of, zeta_transform
 
 
 def random_table(rng, n, *, zero_empty=True, scale=1.0):
@@ -11,7 +11,7 @@ def random_table(rng, n, *, zero_empty=True, scale=1.0):
     values = rng.normal(0.0, scale, 1 << n)
     if zero_empty:
         values[0] = 0.0
-    return new_value_table(n, values)
+    return ValueTable(n, values)
 
 
 def seeded_table(n, seed, integers):
@@ -21,7 +21,7 @@ def seeded_table(n, seed, integers):
         return random_table(rng, n)
     values = rng.integers(-3, 4, 1 << n).astype(np.float64)
     values[0] = 0.0
-    return new_value_table(n, values)
+    return ValueTable(n, values)
 
 
 def random_blocks(rng, n):
@@ -78,7 +78,7 @@ TOY_VALUES = [0.0, 0.5, 0.5, 0.5, 1 / 3, 5 / 6, 5 / 6, 5 / 6]
 @pytest.fixture
 def toy_table():
     """Three features: 0 and 1 are duplicates, 2 is independent of them."""
-    return new_value_table(3, TOY_VALUES)
+    return ValueTable(3, TOY_VALUES)
 
 
 @pytest.fixture

@@ -47,7 +47,6 @@ from sepsets import (
     mobius_transform,
     new_dataset,
     new_sample_space,
-    new_value_table,
     r2_value_table,
     score,
     score_vector,
@@ -109,8 +108,8 @@ def test_criterion_01_toy_dataset_end_to_end():
 def test_criterion_02_max_rule_mixture_gap():
     """Frozen two-feature pair: the max rule misses mixtures by >= 0.5, <0.1s."""
     start = time.perf_counter()
-    first = new_value_table(2, [0.0, 0.0, 1.0, 2.0])
-    second = new_value_table(2, [0.0, 1.0, 1.0, 1.0])
+    first = ValueTable(2, [0.0, 0.0, 1.0, 2.0])
+    second = ValueTable(2, [0.0, 1.0, 1.0, 1.0])
 
     assert np.array_equal(score_vector(ScoreMethod.MCI, first).scores, [1.0, 2.0])
     assert np.array_equal(score_vector(ScoreMethod.MCI, second).scores, [1.0, 1.0])
@@ -260,8 +259,8 @@ def test_criterion_07_linearity_of_the_averaged_rules():
     mci_violations = 0
     for i in range(500):
         if i == 0:
-            first = new_value_table(2, [0.0, 0.0, 1.0, 2.0])
-            second = new_value_table(2, [0.0, 1.0, 1.0, 1.0])
+            first = ValueTable(2, [0.0, 0.0, 1.0, 2.0])
+            second = ValueTable(2, [0.0, 1.0, 1.0, 1.0])
             alpha = 0.5
         else:
             n = int(rng.integers(2, 9))
@@ -338,7 +337,7 @@ def _expand_with_duplicate(base):
         joined = 1 if mask & 0b11 else 0
         rest = (mask >> 2) << 1
         values[mask] = base.values[joined | rest]
-    return new_value_table(n, values)
+    return ValueTable(n, values)
 
 
 def _violation_case(seed):
@@ -391,13 +390,13 @@ def _violation_case(seed):
     if kind == 4:
         values = np.zeros(8)
         values[1] = 1.0 + u
-        table = new_value_table(3, values)
+        table = ValueTable(3, values)
         vec = ImportanceVector(ScoreMethod.SHAPLEY, np.zeros(3))
         return check_triviality(table, vec, TOL), lambda w: abs(float(table.values[w.subset]))
 
     if kind == 5:
         base = random_table(rng, 2, zero_empty=False)
-        table = new_value_table(3, np.array([base.values[m >> 1] for m in range(8)]))
+        table = ValueTable(3, np.array([base.values[m >> 1] for m in range(8)]))
         scores = np.zeros(3)
         scores[0] = 0.5 + u
         vec = ImportanceVector(ScoreMethod.SHAPLEY, scores)
@@ -434,7 +433,7 @@ def _violation_case(seed):
         )
 
     if kind == 8:
-        table = new_value_table(2, [0.0, 1.0, 1.0, 2.3 + u])
+        table = ValueTable(2, [0.0, 1.0, 1.0, 2.3 + u])
         report = check_separable_importance(table, ScoreMethod.BIVARIATE, 0b01, TOL).item2
         return report, lambda w: abs(
             float(
@@ -479,8 +478,8 @@ def _violation_case(seed):
         )
 
     scale = 1.0 + u
-    first = new_value_table(2, np.array([0.0, 0.0, 1.0, 2.0]) * scale)
-    second = new_value_table(2, np.array([0.0, 1.0, 1.0, 1.0]) * scale)
+    first = ValueTable(2, np.array([0.0, 0.0, 1.0, 2.0]) * scale)
+    second = ValueTable(2, np.array([0.0, 1.0, 1.0, 1.0]) * scale)
     space = new_sample_space([(0.5, first), (0.5, second)])
 
     def replay_consistency(w):

@@ -13,6 +13,7 @@ from sepsets import (
     ScoreMethod,
     TableError,
     Tolerance,
+    ValueTable,
     check_data_model_equivalence,
     check_elimination,
     check_empty_set,
@@ -24,7 +25,6 @@ from sepsets import (
     check_symmetry,
     check_triviality,
     eliminate,
-    new_value_table,
     score,
     score_vector,
 )
@@ -40,7 +40,7 @@ def additive_table(rng, n):
     values = np.zeros(1 << n)
     for s in range(1 << n):
         values[s] = sum(singles[f] for f in range(n) if (s >> f) & 1)
-    return new_value_table(n, values)
+    return ValueTable(n, values)
 
 
 def test_additive_tables_pass_everything(rng):
@@ -60,14 +60,14 @@ def test_additive_tables_pass_everything(rng):
 
 def test_empty_set_check(toy_table):
     assert check_empty_set(toy_table, TOL).passed
-    bad = new_value_table(2, [0.25, 0.5, 0.5, 1.0])
+    bad = ValueTable(2, [0.25, 0.5, 0.5, 1.0])
     report = check_empty_set(bad, TOL)
     assert not report.passed
     assert report.residual == pytest.approx(0.25)
 
 
 def test_monotonicity_witness():
-    table = new_value_table(2, [0.0, 1.0, 0.5, 0.8])
+    table = ValueTable(2, [0.0, 1.0, 0.5, 0.8])
     report = check_monotonicity(table, TOL)
     assert not report.passed
     # Adding feature 1 to {0} drops the value by 0.2, the worst drop.
@@ -181,7 +181,7 @@ def test_shapley_elimination_matches_per_drop_oracle(n, seed, integers):
 
 def test_elimination_runs_past_twelve_features():
     for method in ALL_METHODS:
-        report = check_elimination(method, new_value_table(13, np.zeros(1 << 13)), TOL)
+        report = check_elimination(method, ValueTable(13, np.zeros(1 << 13)), TOL)
         assert report.passed and report.residual == 0.0
 
 
@@ -204,7 +204,7 @@ def test_minimalism_reference_is_mci(rng, toy_table):
 
 
 def test_triviality_item1_fails_for_silent_scores():
-    table = new_value_table(2, [0.0, 1.0, 0.0, 1.0])
+    table = ValueTable(2, [0.0, 1.0, 0.0, 1.0])
     v = ImportanceVector(ScoreMethod.BIVARIATE, np.zeros(2))
     report = check_triviality(table, v, TOL)
     assert not report.passed
@@ -214,7 +214,7 @@ def test_triviality_item1_fails_for_silent_scores():
 
 def test_triviality_item2_fails_for_scored_dummy():
     # Feature 1 never changes the value but carries a score.
-    table = new_value_table(2, [0.0, 1.0, 0.0, 1.0])
+    table = ValueTable(2, [0.0, 1.0, 0.0, 1.0])
     v = ImportanceVector(ScoreMethod.SHAPLEY, np.array([1.0, 0.7]))
     report = check_triviality(table, v, TOL)
     assert not report.passed
@@ -223,7 +223,7 @@ def test_triviality_item2_fails_for_scored_dummy():
 
 
 def test_triviality_vacuous_on_silence():
-    table = new_value_table(2, np.zeros(4))
+    table = ValueTable(2, np.zeros(4))
     v = ImportanceVector(ScoreMethod.MCI, np.zeros(2), (0, 0))
     report = check_triviality(table, v, TOL)
     assert report.passed and report.vacuous
@@ -240,7 +240,7 @@ def test_null_feature_applies_only_to_constant_axes():
 
 
 def test_data_model_equivalence_vacuous_without_perfection(toy_table):
-    other = new_value_table(3, np.zeros(8))
+    other = ValueTable(3, np.zeros(8))
     report = check_data_model_equivalence(toy_table, other, ScoreMethod.MCI, False, TOL)
     assert report.passed and report.vacuous
     strict = check_data_model_equivalence(toy_table, other, ScoreMethod.MCI, True, TOL)
@@ -252,7 +252,7 @@ def test_symmetry_variants_disagree_on_context_scope():
     # The pair scores equally given the other is absent, but feature 1
     # still matters when feature 0 is present, so the wide quantifier
     # finds no interchangeable pair.
-    table = new_value_table(2, [0.0, 1.0, 1.0, 2.5])
+    table = ValueTable(2, [0.0, 1.0, 1.0, 2.5])
     v = ImportanceVector(ScoreMethod.BIVARIATE, np.array([1.0, 1.0]))
     narrow = check_symmetry(table, v, "z_pair", TOL)
     assert narrow.passed and not narrow.vacuous
@@ -304,7 +304,7 @@ def test_separable_importance_rejects_an_out_of_range_subset(toy_table, subset):
 def test_separable_importance_item2_violation():
     # Bivariate scores are additive across {0} here, yet the set is not
     # separable: the converse direction fails with a subset witness.
-    table = new_value_table(2, [0.0, 1.0, 1.0, 2.3])
+    table = ValueTable(2, [0.0, 1.0, 1.0, 2.3])
     report = check_separable_importance(table, ScoreMethod.BIVARIATE, 0b01, TOL)
     assert report.item1.vacuous
     assert not report.item2.passed

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sepsets import (
     Partition,
     ScoreMethod,
-    new_value_table,
+    ValueTable,
     score_vector,
     table_to_dict,
     validate_partition,
@@ -196,13 +196,11 @@ def test_audit_sample_space(capsys, tmp_path):
 
 
 def test_audit_sample_space_respects_max_features(capsys, tmp_path):
+    # The cap is checked before the instances are read.
     space = tmp_path / "space.json"
-    space.write_text(
-        json.dumps({"n": 4, "instances": [{"weight": 1.0, "values": [0.0] * 16}]})
-    )
-    code, _, err = run(capsys, ["audit", str(space), "--max-features", "3"])
-    assert code == 1
-    assert "cap of 3 features" in err
+    space.write_text(json.dumps({"n": 21, "instances": [{"weight": 1.0, "values": [0.0] * 4}]}))
+    code, out, err = run(capsys, ["audit", str(space)])
+    assert (code, out, err) == (1, "", "error: n=21 exceeds the cap of 20 features\n")
 
 
 def test_audit_rejects_partition_files(capsys, tmp_path):
@@ -286,7 +284,7 @@ def test_eval_dataset_writes_table(capsys, tmp_path):
 # An n=10 table of both kinds of token, from 1e-320 to 1e300 in magnitude.
 @example((np.geomspace(1e-320, 1e300, 1 << 10) * np.resize([1, -1, -1], 1 << 10)).tolist())
 def test_table_json_matches_indented_json(values):
-    table = new_value_table(len(values).bit_length() - 1, values)
+    table = ValueTable(len(values).bit_length() - 1, values)
     expected = json.dumps(table_to_dict(table), indent=2, sort_keys=True) + "\n"
     assert _table_json(table) == expected.encode()
 
@@ -386,14 +384,21 @@ def test_csv_repeated_header_name(capsys, tmp_path):
          "{path}: no feature columns remain"),
         ("t.csv", "", ["scores", "--target", "y"],
          "{path}: need a header row and at least one data row"),
+        # The report file is written before stdout, so a failed write prints no report.
+        ("t.json", '{"n": 1, "values": [0, 1]}', ["scores", "--out", "{path}/x.json"],
+         "[Errno 20] Not a directory: '{path}/x.json'"),
     ],
-    ids=["audit-csv", "eval-dataset-json", "missing-weight-col", "no-features", "empty-csv"],
+    ids=[
+        "audit-csv", "eval-dataset-json", "missing-weight-col", "no-features", "empty-csv",
+        "bad-out",
+    ],
 )
 def test_input_errors_exit_one_with_one_error_line(capsys, tmp_path, name, content, argv, message):
     path = tmp_path / name
     path.write_text(content)
     table_out = ["--table-out", str(tmp_path / "out.json")] if argv[0] == "eval-dataset" else []
-    code, out, err = run(capsys, [argv[0], str(path), *argv[1:], *table_out])
+    options = [option.format(path=path) for option in argv[1:]]
+    code, out, err = run(capsys, [argv[0], str(path), *options, *table_out])
     assert (code, out, err) == (1, "", f"error: {message.format(path=path)}\n")
 
 
@@ -438,7 +443,7 @@ def test_csv_bad_byte_gives_one_error_wherever_it_sits(capsys, tmp_path, rows):
 @pytest.mark.parametrize("command", ["eval-dataset", "scores"])
 def test_csv_obeys_the_one_table_cap(capsys, tmp_path, command):
     # CSV datasets have no cap of their own: 17 columns build, 21 exceed
-    # the default table cap of 20, and --max-features lowers it.
+    # the table cap of 20.
     table_out = tmp_path / "t.json"
 
     def attempt(columns, *options):
@@ -460,10 +465,7 @@ def test_csv_obeys_the_one_table_cap(capsys, tmp_path, command):
     assert written == (command == "eval-dataset")
     code, err, written = attempt(21)
     assert code == 1 and not written
-    assert "n=21 exceeds the configured cap of 20 features" in err
-    code, err, written = attempt(9, "--max-features", "8")
-    assert code == 1 and not written
-    assert "n=9 exceeds the configured cap of 8 features" in err
+    assert err == "error: n=21 exceeds the cap of 20 features\n"
 
 
 def _space(weight, values):
@@ -642,6 +644,8 @@ def test_valid_and_over_cap_inputs_never_reach_json_loads(
 ):
     space = tmp_path / "space.json"
     space.write_text(json.dumps(_space(1.0, [0.0, 1.0])))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n": 21, "values": [0.0] * 4}))
 
     def refuse(*args, **kwargs):
         raise AssertionError("json.loads called")
@@ -655,13 +659,13 @@ def test_valid_and_over_cap_inputs_never_reach_json_loads(
                 ["partition", str(toy_table_file)],
                 ["audit", str(toy_table_file)],
                 ["audit", str(space)],
-                ["scores", str(toy_table_file), "--max-features", "2"],
+                ["scores", str(wide)],
             ]
         ]
     for code, out, err in results[:-1]:
         assert code == 0 and err == ""
         assert json.loads(out)["tool"] == "sepsets"
-    assert results[-1] == (1, "", "error: n=3 exceeds the configured cap of 2 features\n")
+    assert results[-1] == (1, "", "error: n=21 exceeds the cap of 20 features\n")
 
 
 @pytest.mark.parametrize(
@@ -669,7 +673,7 @@ def test_valid_and_over_cap_inputs_never_reach_json_loads(
     [
         (
             '{"n": 100000000000000000000, "values": [0, 1]}',
-            "n=100000000000000000000 exceeds the hard ceiling of 24 features",
+            "n=100000000000000000000 exceeds the cap of 20 features",
         ),
         (
             '{"n": 1, "values": [0, [100000000000000000000]]}',
@@ -1043,10 +1047,34 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
-def test_invalid_tolerance_rejected(capsys, toy_table_file):
-    code, _, err = run(capsys, ["scores", str(toy_table_file), "--tol", "-1"])
-    assert code == 1
-    assert "tolerance" in err
+def test_invalid_tolerance_rejected(capsys, toy_table_file, tmp_path):
+    # The parser refuses the flag, before any input is read or written.
+    table_out = tmp_path / "t.json"
+    for argv in [
+        ["scores", str(toy_table_file)],
+        ["eval-dataset", TOY_CSV, "--target", "y", "--table-out", str(table_out)],
+        ["demo", "toy-separable"],
+    ]:
+        code, out, err = run(capsys, [*argv, "--tol", "-1"])
+        message = "error: argument --tol: tolerance must be positive and finite, got -1.0\n"
+        assert (code, out, err) == (1, "", message)
+    assert not table_out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scores", "t.json"],
+        ["audit", "t.json"],
+        ["partition", "t.json"],
+        ["eval-dataset", TOY_CSV, "--target", "y", "--table-out", "t.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_max_features_is_an_unknown_argument(capsys, argv):
+    code, out, err = run(capsys, [*argv, "--max-features", "20"])
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: --max-features 20\n"
 
 
 def test_version_flag(capsys):
@@ -1059,6 +1087,5 @@ def test_version_flag(capsys):
 def test_table_cap_respected(capsys, tmp_path):
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({"n": 21, "values": [0.0] * (1 << 21)}))
-    code, _, err = run(capsys, ["scores", str(wide)])
-    assert code == 1
-    assert "cap" in err or "ceiling" in err
+    code, out, err = run(capsys, ["scores", str(wide)])
+    assert (code, out, err) == (1, "", "error: n=21 exceeds the cap of 20 features\n")

@@ -107,14 +107,12 @@ def test_shape_validation():
 
 
 def test_feature_cap():
-    # Datasets obey the one table cap: 20 by default, raisable up to 24.
+    # Datasets obey the one table cap of 20 features.
     y = np.array([1.0, 2.0])
-    with pytest.raises(CapExceededError):
-        r2_value_table(new_dataset(np.ones((2, 21)), y))
-    with pytest.raises(CapExceededError):
-        r2_value_table(new_dataset(np.ones((2, 8)), y), max_features=7)
-    with pytest.raises(CapExceededError):
-        r2_value_table(new_dataset(np.ones((2, 25)), y), max_features=25)
+    for n in (21, 25):
+        with pytest.raises(CapExceededError, match=f"^n={n} exceeds the cap of 20 features$"):
+            r2_value_table(new_dataset(np.ones((2, n)), y))
+    assert r2_value_table(new_dataset(np.eye(2, 20), y)).n == 20
 
 
 def test_perfect_model_table_matches_data_table():

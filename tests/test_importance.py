@@ -15,10 +15,10 @@ from sepsets import (
     Partition,
     ScoreMethod,
     TableError,
+    ValueTable,
     check_linearity,
     grouped_score_vector,
     mix,
-    new_value_table,
     restricted_score,
     restricted_vector,
     score,
@@ -152,7 +152,7 @@ def test_mci_witness_replays_to_score(rng):
 
 def test_mci_witness_prefers_lowest_mask_on_ties():
     # Every marginal of feature 0 equals 1, so the empty context wins.
-    table = new_value_table(2, [0.0, 1.0, 0.5, 1.5])
+    table = ValueTable(2, [0.0, 1.0, 0.5, 1.5])
     vec = score_vector(ScoreMethod.MCI, table)
     assert vec.scores[0] == 1.0
     assert vec.witnesses[0] == 0
@@ -267,8 +267,8 @@ def test_linearity_exact_for_weighted_average_rules(rng):
 
 
 def test_linearity_violation_for_max_rule():
-    a = new_value_table(2, [0.0, 0.0, 1.0, 2.0])
-    b = new_value_table(2, [0.0, 1.0, 1.0, 1.0])
+    a = ValueTable(2, [0.0, 0.0, 1.0, 2.0])
+    b = ValueTable(2, [0.0, 1.0, 1.0, 1.0])
     report = check_linearity(ScoreMethod.MCI, a, b, 0.5)
     assert report.violated
     assert report.max_deviation == pytest.approx(0.5, abs=1e-12)

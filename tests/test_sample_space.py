@@ -10,12 +10,12 @@ from sepsets import (
     ScoreMethod,
     TableError,
     Tolerance,
+    ValueTable,
     check_importance_consistency,
     check_value_consistency,
     duplicate_space,
     global_table,
     new_sample_space,
-    new_value_table,
     score_vector,
     space_from_dict,
     space_to_dict,
@@ -27,13 +27,13 @@ TOL = Tolerance(1e-9)
 
 
 def test_weights_normalize():
-    t = new_value_table(1, [0.0, 1.0])
+    t = ValueTable(1, [0.0, 1.0])
     space = new_sample_space([(2.0, t), (6.0, t)])
     assert np.allclose(space.weights, [0.25, 0.75])
 
 
 def test_zero_total_weight_is_degenerate():
-    t = new_value_table(1, [0.0, 1.0])
+    t = ValueTable(1, [0.0, 1.0])
     with pytest.raises(DegenerateInputError):
         new_sample_space([(0.0, t), (0.0, t)])
 
@@ -41,7 +41,7 @@ def test_zero_total_weight_is_degenerate():
 def test_mismatched_widths_rejected():
     with pytest.raises(TableError):
         new_sample_space(
-            [(1.0, new_value_table(1, [0.0, 1.0])), (1.0, new_value_table(2, np.zeros(4)))]
+            [(1.0, ValueTable(1, [0.0, 1.0])), (1.0, ValueTable(2, np.zeros(4)))]
         )
 
 
@@ -65,7 +65,7 @@ def test_value_consistency_against_computed_mean(rng):
 def test_value_consistency_flags_corrupted_claim(rng):
     space = new_sample_space([(1.0, random_table(rng, 3)), (1.0, random_table(rng, 3))])
     mean = global_table(space)
-    claim = new_value_table(3, np.asarray(mean.values) + 0.25)
+    claim = ValueTable(3, np.asarray(mean.values) + 0.25)
     report = check_value_consistency(space, claim, TOL)
     assert not report.passed
     assert report.residual == pytest.approx(0.25)
@@ -85,8 +85,8 @@ def test_linear_rules_are_consistent_everywhere(rng):
 
 
 def test_max_rule_breaks_consistency_on_known_pair():
-    first = new_value_table(2, [0.0, 0.0, 1.0, 2.0])
-    second = new_value_table(2, [0.0, 1.0, 1.0, 1.0])
+    first = ValueTable(2, [0.0, 0.0, 1.0, 2.0])
+    second = ValueTable(2, [0.0, 1.0, 1.0, 1.0])
     space = new_sample_space([(0.5, first), (0.5, second)])
     report = check_importance_consistency(space, ScoreMethod.MCI, TOL)
     assert not report.passed

@@ -29,9 +29,10 @@ from sepsets import (
     maximal_partition,
     maximal_partition_oracle,
     mobius_transform,
-    new_value_table,
+    new_dataset,
     partition_from_dict,
     partition_to_dict,
+    r2_value_table,
     score_vector,
     space_from_dict,
     table_from_dict,
@@ -117,7 +118,7 @@ def test_partition_blocks_validate_as_separable(rng):
 
 
 def test_single_feature_table_partition():
-    table = new_value_table(1, [0.0, 0.7])
+    table = ValueTable(1, [0.0, 0.7])
     assert maximal_partition(table, TOL).block_indices() == ((0,),)
 
 
@@ -131,7 +132,7 @@ def test_additive_table_partitions_into_singletons(rng):
     singles = rng.uniform(1.0, 2.0, 4)
     for s in range(16):
         values[s] = sum(singles[f] for f in range(4) if (s >> f) & 1)
-    partition = maximal_partition(new_value_table(4, values), TOL)
+    partition = maximal_partition(ValueTable(4, values), TOL)
     assert partition.blocks == (1, 2, 4, 8)
 
 
@@ -274,21 +275,23 @@ _LOADERS = {
         lambda n: {"n": n, "instances": [{"weight": 1, "values": [0.0] * 4}]},
     ),
     "partition": (partition_from_dict, lambda n: {"n": n, "blocks": [list(range(n))]}),
+    "value-table": (lambda args: ValueTable(*args), lambda n: (n, [0.0] * 4)),
+    "dataset": (r2_value_table, lambda n: new_dataset(np.eye(2, n), [1.0, 2.0])),
 }
 
 
 @pytest.mark.parametrize("kind", _LOADERS)
-def test_every_loader_enforces_the_same_feature_cap(kind):
+def test_every_loader_enforces_the_same_feature_cap(kind, monkeypatch):
     # The cap is checked before the body is read, so a table or space
-    # payload may carry 4 values whatever its n.
+    # payload may carry 4 values whatever its n, and before the 2^n
+    # entries of a dataset's table are built, so no factor is taken.
     load, payload = _LOADERS[kind]
-    with pytest.raises(CapExceededError, match="^max_features=30 exceeds the hard ceiling of 24$"):
-        load(payload(2), max_features=30)
-    with pytest.raises(CapExceededError, match="^n=25 exceeds the hard ceiling of 24 features$"):
-        load(payload(25))
-    with pytest.raises(CapExceededError, match="^n=21 exceeds the configured cap of 20 features$"):
-        load(payload(21))
-    assert load(payload(2), max_features=24).n == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "qr", None)
+        for n in (21, 25):
+            with pytest.raises(CapExceededError, match=f"^n={n} exceeds the cap of 20 features$"):
+                load(payload(n))
+    assert load(payload(2)).n == 2
 
 
 def test_enumerate_separable_sets_toy(toy_table):
@@ -310,8 +313,8 @@ def test_tolerance_separates_weak_interactions():
     # noise at loose tolerance.
     values = np.zeros(4)
     values[3] = 1e-6
-    tight = maximal_partition(new_value_table(2, values), Tolerance(1e-9))
-    loose = maximal_partition(new_value_table(2, values), Tolerance(1e-3))
+    tight = maximal_partition(ValueTable(2, values), Tolerance(1e-9))
+    loose = maximal_partition(ValueTable(2, values), Tolerance(1e-3))
     assert tight.block_indices() == ((0, 1),)
     assert loose.block_indices() == ((0,), (1,))
 

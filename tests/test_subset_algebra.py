@@ -19,7 +19,6 @@ from sepsets import (
     mask_of,
     mix,
     mobius_transform,
-    new_value_table,
     table_from_dict,
     table_to_dict,
     tables_close,
@@ -152,16 +151,16 @@ def test_popcount_table_small_oracle():
 
 
 def test_mix_endpoints_and_midpoint():
-    a = new_value_table(2, [0.0, 0.0, 1.0, 2.0])
-    b = new_value_table(2, [0.0, 1.0, 1.0, 1.0])
+    a = ValueTable(2, [0.0, 0.0, 1.0, 2.0])
+    b = ValueTable(2, [0.0, 1.0, 1.0, 1.0])
     assert np.array_equal(mix(a, b, 1.0).values, a.values)
     assert np.array_equal(mix(a, b, 0.0).values, b.values)
     assert np.allclose(mix(a, b, 0.5).values, [0.0, 0.5, 1.0, 1.5])
 
 
 def test_mix_validates_inputs():
-    a = new_value_table(2, [0.0, 0.0, 1.0, 2.0])
-    b = new_value_table(3, np.zeros(8))
+    a = ValueTable(2, [0.0, 0.0, 1.0, 2.0])
+    b = ValueTable(3, np.zeros(8))
     with pytest.raises(TableError):
         mix(a, b, 0.5)
     with pytest.raises(TableError):
@@ -172,18 +171,17 @@ def test_mix_validates_inputs():
 
 def test_table_validation_errors():
     with pytest.raises(TableError):
-        new_value_table(2, [0.0, 1.0, 2.0])  # wrong length
+        ValueTable(2, [0.0, 1.0, 2.0])  # wrong length
     with pytest.raises(TableError):
-        new_value_table(1, [0.0, float("inf")])
+        ValueTable(1, [0.0, float("inf")])
     with pytest.raises(TableError):
-        new_value_table(0, [0.0])
-    with pytest.raises(CapExceededError):
-        new_value_table(21, np.zeros(1 << 21))
-    with pytest.raises(CapExceededError):
-        new_value_table(3, np.zeros(8), max_features=25)
-    # Loosening the cap above the default is allowed up to the ceiling.
-    t = new_value_table(3, np.zeros(8), max_features=24)
-    assert t.n == 3
+        ValueTable(0, [0.0])
+    # The cap is checked before the values, so their count does not matter.
+    for n, values in [(21, np.zeros(1 << 21)), (25, np.zeros(4))]:
+        for kind in (ValueTable, MobiusTable):
+            with pytest.raises(CapExceededError, match=f"^n={n} exceeds the cap of 20 features$"):
+                kind(n, values)
+    assert ValueTable(20, np.zeros(1 << 20)).n == 20
 
 
 def test_values_are_frozen(toy_table):
