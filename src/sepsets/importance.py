@@ -18,8 +18,10 @@ path usable at the 20-feature cap.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import factorial
 
 import numpy as np
@@ -115,6 +117,11 @@ class ImportanceVector:
 # Rules that read a feature's marginals; the other two read single entries.
 _MARGINAL_RULES = (ScoreMethod.SHAPLEY, ScoreMethod.MCI)
 
+# OpenBLAS splits a dot product over more than 10000 entries across its
+# threads, which moves the last bits of the sum; runs of this length
+# stay on one thread, so scores do not depend on the thread count.
+_DOT_RUN = 1 << 13
+
 
 def _score_one(
     method: ScoreMethod, table: ValueTable, f: int,
@@ -129,7 +136,9 @@ def _score_one(
         return float(v[table.full_mask] - v[table.full_mask ^ bit]), None
     if method is ScoreMethod.SHAPLEY:
         assert weights is not None and diffs is not None
-        return float(weights @ diffs), None
+        runs = range(0, diffs.size, _DOT_RUN)
+        dots = (weights[i : i + _DOT_RUN] @ diffs[i : i + _DOT_RUN] for i in runs)
+        return float(reduce(operator.add, dots)), None
     if method is ScoreMethod.MCI:
         # argmax picks the first maximizer; contexts run in ascending
         # mask order, so that is the lowest-bitmask witness.

@@ -43,8 +43,9 @@ def read_input(
     ``"table"`` or ``"space"`` JSON, or a ``"csv"`` dataset with ``target``.
 
     A ``.csv`` suffix means CSV, and any other file is JSON whose keys
-    name its kind. A file of a family the command takes no kind of is
-    refused unread, and one not UTF-8 anywhere before either parser runs.
+    name its kind. A file of a family the command takes no kind of, or
+    JSON given ``target`` or ``weight_col``, is refused unread, and one
+    not UTF-8 anywhere before either parser runs.
     """
     names = {"table": "value-table", "space": "sample-space"}
     json_kinds = [names[k] for k in accepts if k != "csv"]
@@ -57,6 +58,8 @@ def read_input(
         raise _UsageError(expects)
     if is_csv and target is None:
         raise _UsageError("CSV input needs --target")
+    if not is_csv and (target, weight_col) != (None, None):
+        raise _UsageError("--target and --weight-col apply to CSV input only")
     raw = path.read_bytes()
     if not raw.isascii():  # ASCII is UTF-8; the check builds no decoded copy
         try:

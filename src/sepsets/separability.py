@@ -83,8 +83,8 @@ class Partition:
         if seen != full:
             missing = indices_of(full ^ seen)
             raise PartitionError(f"partition does not cover features {missing}")
-        # Lowest set bits are distinct across disjoint blocks, so this order is total.
-        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=lambda b: b & -b)))
+        # Lowest members are distinct across disjoint blocks, so this order is total.
+        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=lambda b: indices_of(b)[0])))
 
     @classmethod
     def from_indices(cls, n: int, blocks: list[list[int]] | tuple) -> "Partition":
@@ -97,12 +97,6 @@ class Partition:
     def block_indices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(indices_of(b) for b in self.blocks)
 
-    def block_of(self, feature: int) -> int:
-        for b in self.blocks:
-            if (b >> feature) & 1:
-                return b
-        raise PartitionError(f"feature {feature} out of range for n={self.n}")
-
 
 def is_separable(
     table: ValueTable, subset: int, tol: Tolerance = DEFAULT_TOL
@@ -114,7 +108,9 @@ def is_separable(
     view = table.values.reshape((2,) * n)
     inside = view[_pinned(n, table.full_mask ^ subset)]  # v(T & S) for every T
     outside = view[_pinned(n, subset)]  # v(T - S) for every T
-    residuals = np.abs(view - inside - outside).reshape(-1)
+    residuals = view - inside
+    residuals -= outside  # in place, in the order of view - inside - outside
+    residuals = np.abs(residuals, out=residuals).reshape(-1)
     worst = int(np.argmax(residuals))
     worst_residual = float(residuals[worst])
     return SeparabilityReport(
@@ -149,25 +145,25 @@ def maximal_partition_reports(
     Two features land in the same block iff some interaction dividend
     with magnitude above ``tol`` covers both; blocks are the connected
     components of that relation. Each such dividend ties its features
-    to its lowest feature, and the per-feature reaches are merged
-    wherever they overlap. As a safety net the blocks' residuals, which
-    do not depend on the tolerance, are judged again at a tolerance
-    scaled by the summation depth (2^n, offset by any residual
-    empty-set value), which the dividend bound guarantees.
+    to its lowest feature f; the dividends whose lowest feature is f
+    are one strided slice of the table, so f's reach is the OR of that
+    slice's hits, and the reaches are merged wherever they overlap. As
+    a safety net the blocks' residuals, which do not depend on the
+    tolerance, are judged again at a tolerance scaled by the summation
+    depth (2^n, offset by any residual empty-set value), which the
+    dividend bound guarantees.
 
     Note that when ``value({}) `` itself exceeds ``tol`` no subset is
     separable in the strict sense; the reports say so honestly, while
     the partition still gives the interaction structure.
     """
     n = table.n
-    dividends = mobius_transform(table).dividends
-    # Mask 0 stays out: it has no lowest feature.
-    hits = np.flatnonzero(np.abs(dividends[1:]) > tol.absolute) + 1
-    reach = np.zeros(n, dtype=np.int64)
-    np.bitwise_or.at(reach, np.bitwise_count((hits & -hits) - 1), hits)
+    above = np.abs(mobius_transform(table).dividends) > tol.absolute
     blocks: list[int] = []
     for f in range(n):
-        merged = int(reach[f]) | 1 << f
+        # Entry k is the mask k << (f + 1) | 1 << f: these are the masks whose lowest feature is f.
+        higher = np.bitwise_or.reduce(np.flatnonzero(above[1 << f :: 2 << f]))
+        merged = int(higher) << (f + 1) | 1 << f
         for b in blocks:
             if b & merged:
                 merged |= b

@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, formats, and diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import sepsets
 from sepsets import (
     Partition,
     ScoreMethod,
@@ -22,7 +26,7 @@ from sepsets import inputs
 from sepsets.cli import main
 from sepsets.inputs import table_json
 
-from conftest import TOY_VALUES
+from conftest import TOY_VALUES, seeded_table
 
 TOY_CSV = "data/toy.csv"
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,6 +69,25 @@ def test_scores_and_partition_stdout_match_golden_file(capsys, stem):
     assert main(TABLE_GOLDEN[stem]) == 0
     expected = (GOLDEN / f"{stem}.stdout").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", ["scores", "audit"])
+def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path, command):
+    # At n=16 each Shapley score sums 2^15 weighted marginals, past the
+    # length at which OpenBLAS splits one dot product across threads.
+    path = tmp_path / "t16.json"
+    path.write_text(json.dumps(table_to_dict(seeded_table(16, 0, False))))
+    src = str(Path(sepsets.__file__).parents[1])
+    stdouts = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", "from sepsets.cli import console_main; console_main()",
+             command, str(path)],
+            env=env, capture_output=True, check=True, timeout=120,
+        )
+        stdouts.append(done.stdout)
+    assert stdouts[0] == stdouts[1]
 
 
 def test_scores_json_envelope(capsys, toy_table_file):
@@ -426,6 +449,7 @@ _UNRECOGNIZED = (
 _SCORES_EXPECTS = "scores expects a value-table JSON file or a CSV file"
 _AUDIT_EXPECTS = "audit expects a value-table or sample-space JSON file"
 _PARTITION_EXPECTS = "partition expects a value-table JSON file"
+_CSV_ONLY = "--target and --weight-col apply to CSV input only"
 _KIND_FILES = {
     "table": ("t.json", '{"n": 1, "values": [0, 1]}'),
     "space": ("s.json", '{"n": 1, "instances": [{"weight": 1, "values": [0, 1]}]}'),
@@ -437,6 +461,8 @@ _KIND_FILES = {
 
 
 # None is a report with exit 0; a string is the one error line, with exit 1.
+# A kind may carry options. --target y goes to scores with the CSV file
+# and to eval-dataset with every file.
 @pytest.mark.parametrize(
     "command, kind, error",
     [
@@ -464,14 +490,17 @@ _KIND_FILES = {
         ("eval-dataset", "unrecognized", "eval-dataset expects a CSV file"),
         ("eval-dataset", "non-object", "eval-dataset expects a CSV file"),
         ("eval-dataset", "csv", None),
+        ("scores", "table --target y", _CSV_ONLY),
+        ("scores", "table --weight-col w", _CSV_ONLY),
     ],
 )
 def test_each_command_takes_its_kinds_of_input(capsys, tmp_path, command, kind, error):
+    kind, *options = kind.split()
     name, content = _KIND_FILES[kind]
     path = tmp_path / name
     path.write_text(content)
-    argv = [command, str(path)]
-    if command in ("scores", "eval-dataset"):
+    argv = [command, str(path), *options]
+    if command == "eval-dataset" or (command, kind) == ("scores", "csv"):
         argv += ["--target", "y"]
     if command == "eval-dataset":
         argv += ["--table-out", str(tmp_path / "out.json")]

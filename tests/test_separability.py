@@ -244,7 +244,6 @@ def test_closure_requires_separable_inputs(toy_table):
 def test_partition_construction_contract():
     p = Partition.from_indices(4, [[2, 0], [1], [3]])
     assert p.block_indices() == ((0, 2), (1,), (3,))
-    assert p.block_of(2) == p.blocks[0]
     assert Partition.singletons(3).blocks == (1, 2, 4)
     with pytest.raises(PartitionError):
         Partition(3, (0b011, 0b110))  # overlap

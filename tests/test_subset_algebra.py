@@ -1,6 +1,7 @@
 """Tables, transforms, and mask helpers."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from sepsets import (
 from sepsets.subset_algebra import popcount_table
 
 from conftest import TOY_VALUES, random_table
+from exact import mobius_exact
 
 
 def mobius_by_inclusion_exclusion(values, n):
@@ -79,6 +81,35 @@ def test_roundtrip_recovers_table(n, seed):
     back = zeta_transform(mobius_transform(table))
     bound = 1e-12 * max(1.0, float(np.max(np.abs(table.values))))
     assert np.max(np.abs(back.values - table.values)) <= bound
+
+
+def _exact_check_table(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.normal(size=1 << n)
+    if kind == "additive":  # singleton dividends only, before rounding
+        members = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        return members @ rng.normal(size=n)
+    return rng.integers(-3, 4, 1 << n).astype(np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["random", "additive", "small-integer"]),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=-3, max_value=11),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mobius_within_the_rounding_bound_of_the_exact_dividends(kind, n, k, seed):
+    # Each dividend is a signed sum of at most 2^n stored values, formed
+    # in n passes, so its rounding error is at most 2·n·u times the
+    # subset sum of |v| (Higham, ch. 4), with u = 2^-53.
+    values = _exact_check_table(kind, n, seed) * 10.0**k
+    got = mobius_transform(ValueTable(n, values)).dividends
+    zeta_abs = zeta_transform(MobiusTable(n, np.abs(values))).values
+    bound = 2 * n * 2.0**-53 * zeta_abs
+    for mask, exact in enumerate(mobius_exact(values)):
+        assert abs(Fraction(float(got[mask])) - exact) <= Fraction(float(bound[mask])), mask
 
 
 def test_eliminate_toy_middle_feature(toy_table):
