@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -837,6 +838,163 @@ def test_many_brackets_never_reach_orjson(capsys, tmp_path, monkeypatch):
     assert len(seen) == 1
 
 
+# A value table in each layout the block reader must read: json.dumps,
+# table_json's indent=2, and "values" before "n" with no blanks.
+_LAYOUTS = {
+    "compact": lambda n, cells: '{"n": %d, "values": [%s]}' % (n, ", ".join(cells)),
+    "indented": lambda n, cells: (
+        '{\n  "n": %d,\n  "values": [\n    %s\n  ]\n}\n' % (n, ",\n    ".join(cells))
+    ),
+    "values-first": lambda n, cells: '{"values": [%s],"n":%d}' % (",".join(cells), n),
+}
+
+# An integer -0, integers, values at the ends of the float range, and
+# integers wider than 64 bits, which orjson reads as floats.
+_EDGE_CELLS = [
+    "-0", "0", "-0.0", "17", "-9007199254740993", "18446744073709551615",
+    "18446744073709551616", "-123456789012345678901234567890", "5e-324",
+    "-2.2250738585072014e-308", "1.7976931348623157e308", "-1.7976931348623157E+308",
+    "1e-5", "0.1", "1E5", "1e+0",
+]
+
+
+def _table_read(raw):
+    """What ``_read_json`` reads from ``raw`` as a table: n and the
+    values' bits, or the error's type and text."""
+    try:
+        table = inputs._read_json(Path("doc.json"), raw, ("table",), "scores expects a table")
+    except sepsets.SepsetsError as exc:
+        return type(exc), str(exc)
+    assert not table.values.flags.writeable
+    return table.n, table.values.tobytes()
+
+
+def _whole_read(raw, monkeypatch):
+    """``_table_read`` with the block reader declining every document."""
+    with monkeypatch.context() as patch:
+        patch.setattr(inputs, "_block_table", lambda raw: None)
+        return _table_read(raw)
+
+
+@pytest.mark.parametrize("block_values", [1, 3, 1 << 14])
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_block_reader_reads_the_bits_of_the_whole_parse(monkeypatch, layout, block_values):
+    monkeypatch.setattr(inputs, "_BLOCK_VALUES", block_values)
+    raw = _LAYOUTS[layout](4, _EDGE_CELLS).encode()
+    assert inputs._block_table(raw) is not None
+    assert _table_read(raw) == _whole_read(raw, monkeypatch)
+
+
+def _last_cell(cell):
+    return _LAYOUTS["compact"](2, ["0", "0", "0", cell])
+
+
+_DECLINED = {
+    **{
+        name: _last_cell(cell)
+        for name, cell in [
+            ("plus", "+1"), ("leading-dot", ".5"), ("trailing-dot", "1."),
+            ("leading-zero", "01"), ("bare-exponent", "1e"), ("nan", "NaN"),
+            ("past-the-range", "1e400"), ("wide-past-the-range", "1" + "0" * 400),
+            ("string", '"1"'), ("true", "true"),
+        ]
+    },
+    "double-comma": '{"n": 2, "values": [0, 0,, 0, 0]}',
+    "trailing-comma": '{"n": 2, "values": [0, 0, 0, 0,]}',
+    "leading-comma": '{"n": 2, "values": [, 0, 0, 0, 0]}',
+    "bom": "\ufeff" + _last_cell("0"),
+    "nested-array": '{"n": 2, "values": [0, 0, [0], 0]}',
+    "second-array": '{"n": 2, "values": [0, 0, 0, 0], "blocks": [0]}',
+    "second-open-bracket": '{"n": 2, "values": [0, 0, 0, 0], "note": "["}',
+    "second-close-bracket": '{"n": 2, "values": [0, 0, 0, 0], "note": "]"}',
+    "list-under-another-key": '{"n": 2, "values": 5, "x": [0, 0, 0, 0]}',
+    # Past _ORJSON_MAX_OPENERS, so json must read it.
+    "many-braces": '{"n": 2, "values": [0, 0, 0, 0], "x": %s1%s}' % ('{"a":' * 1100, "}" * 1100),
+    "values-key-twice": '{"values": 7, "n": 2, "values": [0, 0, 0, 0]}',
+    "values-key-twice-list-first": '{"n": 2, "values": [0, 0, 0, 0], "values": 7}',
+    "too-few": _LAYOUTS["compact"](2, ["0"] * 3),
+    "too-many": _LAYOUTS["compact"](2, ["0"] * 5),
+    "float-n": '{"n": 2.0, "values": [0, 0, 0, 0]}',
+    "over-cap": '{"n": 21, "values": [0, 0, 0, 0]}',
+    "bare-list": "[0, 0, 0, 0]",
+}
+
+
+@pytest.mark.parametrize("block_values", [1, 1 << 14])
+@pytest.mark.parametrize("name", _DECLINED)
+def test_block_reader_declines_what_it_might_read_otherwise(monkeypatch, name, block_values):
+    monkeypatch.setattr(inputs, "_BLOCK_VALUES", block_values)
+    raw = _DECLINED[name].encode()
+    assert inputs._block_table(raw) is None
+    assert _table_read(raw) == _whole_read(raw, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_block_edges_next_to_the_table_file_line_breaks(monkeypatch, n):
+    # 2^14 values a block: one block ends at a comma and a line break.
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=1 << n) * np.geomspace(1e-6, 1e20, 1 << n)
+    raw = table_json(ValueTable(n, values))
+    table = inputs._block_table(raw)
+    assert table is not None and table.values.tobytes() == values.tobytes()
+    assert _table_read(raw) == _whole_read(raw, monkeypatch)
+
+
+def _in_float_range(cell):
+    try:
+        float(int(cell))
+    except ValueError:  # a float's repr
+        return True
+    except OverflowError:
+        return False
+    return True
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.floats(allow_nan=False, allow_infinity=False).map(repr)
+            | st.integers().map(str)
+            | st.integers(2**64, 2**1100).map(lambda k: f"-{k}")
+            | st.just("-0"),
+            min_size=1 << n,
+            max_size=1 << n,
+        )
+    ),
+    st.sampled_from(list(_LAYOUTS)),
+    st.sampled_from([1, 2, 3, 1 << 14]),
+)
+def test_block_reader_matches_the_whole_parse_on_random_tables(
+    monkeypatch, cells, layout, block_values
+):
+    raw = _LAYOUTS[layout](len(cells).bit_length() - 1, cells).encode()
+    with monkeypatch.context() as patch:
+        patch.setattr(inputs, "_BLOCK_VALUES", block_values)
+        fast = _table_read(raw)
+        read = inputs._block_table(raw) is not None
+    assert fast == _whole_read(raw, monkeypatch)
+    # Only an integer past the float range sends a table of numbers on.
+    assert read == all(map(_in_float_range, cells))
+
+
+def test_reading_a_table_holds_under_two_tables_beyond_the_file(tmp_path):
+    n = 18
+    path = tmp_path / "t18.json"
+    values = np.random.default_rng(0).normal(size=1 << n)
+    path.write_text(json.dumps({"n": n, "values": values.tolist()}))
+    tracemalloc.start()
+    try:
+        loaded = inputs.read_input(path, "scores", ("table",)).loaded
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.tobytes() == values.tobytes()
+    assert peak - path.stat().st_size < 2 * (8 << n)
+
+
 # Finite, but its dividend at {0, 1} is -1e308 - 2e308.
 _HUGE = [0, 1e308, 1e308, -1e308]
 _DIVIDEND_OVERFLOW = "interaction dividends overflow the float range"
@@ -1013,13 +1171,18 @@ def _csv_documents(draw):
 
 
 def _loaded(path, data, options):
-    """What ``_load_csv`` returns, with each array's shape and bits, or its error."""
+    """What ``_load_csv`` returns, with each array's shape and bits and
+    the weight sum's bits, or its error."""
     weight_col = "w" if "--weight-col" in options else None
     try:
-        loaded = inputs._load_csv(path, data, "y", weight_col)
+        *arrays, features, raw_sum = inputs._load_csv(path, data, "y", weight_col)
     except inputs._UsageError as exc:
         return str(exc)
-    return [(a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in loaded]
+    # A NaN sum (from a NaN weight) is unequal to itself; its hex is not.
+    return [(a.shape, a.tobytes()) if a is not None else a for a in arrays] + [
+        features,
+        raw_sum.hex(),
+    ]
 
 
 @settings(

@@ -1,6 +1,7 @@
 """Tables, transforms, and mask helpers."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,35 @@ def test_table_validation_errors():
 def test_values_are_frozen(toy_table):
     with pytest.raises(ValueError):
         toy_table.values[0] = 1.0
+
+
+def test_transforms_return_frozen_arrays_and_constructors_copy(rng):
+    values = rng.normal(size=8)
+    table = ValueTable(3, values)
+    dividends = MobiusTable(3, values)
+    values[0] = 7.0
+    assert table.values[0] != 7.0 and dividends.dividends[0] != 7.0
+    for array in (mobius_transform(table).dividends, zeta_transform(dividends).values):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_zeta_overflow_is_a_table_error():
+    with np.errstate(over="ignore"):
+        with pytest.raises(TableError, match="^value tables must be finite"):
+            zeta_transform(MobiusTable(1, [1e308, 1e308]))
+
+
+def test_mobius_transform_holds_one_copy_of_the_table(rng):
+    n = 16
+    table = random_table(rng, n, zero_empty=False)
+    tracemalloc.start()
+    try:
+        mobius_transform(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (8 << n)
 
 
 def test_tolerance_contract():
