@@ -43,6 +43,7 @@ from .subset_algebra import (
     _halves,
     _marginals,
     indices_of,
+    mix,
 )
 
 SYMMETRY_VARIANTS = ("z_empty", "z_pair")
@@ -351,6 +352,27 @@ def check_data_model_equivalence(
     data_scores = score_vector(method, data_table).scores
     model_scores = score_vector(method, model_table).scores
     return _largest_gap("data_model_equivalence", model_scores, data_scores, tol)
+
+
+def check_linearity(
+    method: ScoreMethod,
+    first: ValueTable,
+    second: ValueTable,
+    alpha: float,
+    tol: Tolerance = DEFAULT_TOL,
+) -> AxiomReport:
+    """Scoring the mixture should match mixing the scores.
+
+    The left side scores ``mix(first, second, alpha)``; the right side is
+    ``alpha * s1 + (1 - alpha) * s2`` of the two tables' scores. The
+    witness is the first feature with the largest gap.
+    """
+    mixed = score_vector(method, mix(first, second, alpha)).scores
+    combined = (
+        alpha * score_vector(method, first).scores
+        + (1.0 - alpha) * score_vector(method, second).scores
+    )
+    return _largest_gap("score_linearity", mixed, combined, tol)
 
 
 def _spread(gap: np.ndarray) -> float:

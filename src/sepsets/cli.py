@@ -190,8 +190,9 @@ def _methods(args) -> tuple[ScoreMethod, ...]:
 
 def _emit(args, command: str, digest: str | None, report: dict, markdown: str, files=()) -> None:
     """Write ``files``, (path, bytes) pairs, and the report to ``--out``,
-    then print the report. Every file is written before stdout; a failed
-    write unlinks the files already written and re-raises."""
+    then print the report. Two of them naming one file are refused before
+    any is written. Every file is written before stdout; a failed write
+    unlinks the files already written and re-raises."""
     envelope = {
         "tool": "sepsets",
         "version": __version__,
@@ -214,6 +215,13 @@ def _emit(args, command: str, digest: str | None, report: dict, markdown: str, f
         text = "\n".join(head) + "\n\n" + markdown
     if args.out is not None:
         files = [*files, (args.out, text.encode("utf-8"))]
+    if len(files) > 1:
+        seen = set()
+        for path, _ in files:
+            real = path.resolve()
+            if real in seen:
+                raise _UsageError(f"{path} is named for more than one output file")
+            seen.add(real)
     written = []
     try:
         for path, data in files:

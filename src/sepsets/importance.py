@@ -29,15 +29,12 @@ import numpy as np
 from .errors import TableError
 from .separability import Partition, block_unions
 from .subset_algebra import (
-    DEFAULT_TOL,
-    Tolerance,
     ValueTable,
     _context_mask,
     _halves,
     _marginals,
     _subset_transform,
     eliminate,
-    mix,
     mobius_transform,
     popcount_table,
 )
@@ -287,42 +284,3 @@ def grouped_score_vector(
         )
     meta = ValueTable(len(partition.blocks), table.values[block_unions(partition)])
     return score_vector(method, meta).scores.copy()
-
-
-@dataclass(frozen=True, eq=False)
-class LinearityReport:
-    """Outcome of one mixture-linearity probe.
-
-    ``lhs`` scores the mixed table; ``rhs`` mixes the per-table scores.
-    """
-
-    method: ScoreMethod
-    alpha: float
-    lhs: np.ndarray
-    rhs: np.ndarray
-    max_deviation: float
-    violated: bool
-
-
-def check_linearity(
-    method: ScoreMethod,
-    first: ValueTable,
-    second: ValueTable,
-    alpha: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> LinearityReport:
-    """Compare score-of-mixture against mixture-of-scores."""
-    mixed = score_vector(method, mix(first, second, alpha)).scores
-    combined = (
-        alpha * score_vector(method, first).scores
-        + (1.0 - alpha) * score_vector(method, second).scores
-    )
-    deviation = float(np.max(np.abs(mixed - combined)))
-    return LinearityReport(
-        method=method,
-        alpha=alpha,
-        lhs=mixed,
-        rhs=combined,
-        max_deviation=deviation,
-        violated=not tol.within(deviation),
-    )

@@ -15,6 +15,7 @@ need not, and the checker returns the worst coordinate with a witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -58,10 +59,15 @@ class SampleSpace:
                 raise TableError(f"instance {i} has invalid weight {w!r}")
             weights.append(w)
         total = sum(weights)
+        if not math.isfinite(total):
+            # Weights near the float maximum: a power-of-two rescale brings the
+            # largest into [0.5, 1), so their sum is finite. It is left to this
+            # case because it rounds weights it pushes below the normal range.
+            shift = math.frexp(max(weights))[1]
+            weights = [math.ldexp(w, -shift) for w in weights]
+            total = sum(weights)
         if total <= 0:
             raise DegenerateInputError("instance weights must not all be zero")
-        if not np.isfinite(total):
-            raise TableError("instance weights must sum to a finite number")
         normalized = tuple(
             (w / total, t) for w, (_, t) in zip(weights, self.instances)
         )

@@ -121,13 +121,13 @@ def test_criterion_02_max_rule_mixture_gap():
     assert np.array_equal(mean_of_scores, [1.0, 1.5])
 
     report = check_linearity(ScoreMethod.MCI, first, second, 0.5, TOL)
-    assert report.violated
-    assert report.max_deviation >= 0.5
+    assert not report.passed
+    assert report.residual >= 0.5
 
     for method in (ScoreMethod.BIVARIATE, ScoreMethod.ABLATION, ScoreMethod.SHAPLEY):
         linear = check_linearity(method, first, second, 0.5, TOL)
-        assert not linear.violated
-        assert linear.max_deviation == 0.0
+        assert linear.passed
+        assert linear.residual == 0.0
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1, f"mixture check took {elapsed:.3f}s"
 
@@ -269,10 +269,10 @@ def test_criterion_07_linearity_of_the_averaged_rules():
             alpha = float(rng.uniform(0.0, 1.0))
         for method in (ScoreMethod.BIVARIATE, ScoreMethod.ABLATION, ScoreMethod.SHAPLEY):
             report = check_linearity(method, first, second, alpha, TOL)
-            assert not report.violated, (
-                f"triple {i}: {method.value} deviated by {report.max_deviation}"
+            assert report.passed, (
+                f"triple {i}: {method.value} deviated by {report.residual}"
             )
-        if check_linearity(ScoreMethod.MCI, first, second, alpha, TOL).violated:
+        if not check_linearity(ScoreMethod.MCI, first, second, alpha, TOL).passed:
             mci_violations += 1
     assert mci_violations >= 1
     # The max rule is not accidentally linear: it should break often.

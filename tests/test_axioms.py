@@ -17,6 +17,7 @@ from sepsets import (
     check_data_model_equivalence,
     check_elimination,
     check_empty_set,
+    check_linearity,
     check_marginal_contribution,
     check_minimalism,
     check_monotonicity,
@@ -25,10 +26,12 @@ from sepsets import (
     check_symmetry,
     check_triviality,
     eliminate,
+    mix,
     score,
     score_vector,
 )
 from sepsets.axioms import Witness, report_rows_markdown
+from sepsets.scenarios import demo_mci_nonlinearity
 
 from conftest import random_table, seeded_table
 
@@ -312,6 +315,44 @@ def test_separable_importance_item2_violation():
     assert report.item2.witness.lhs == pytest.approx(2.3)
     assert report.item2.witness.rhs == pytest.approx(2.0)
     assert report.item2.residual == pytest.approx(0.3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    *ORACLE_CASES,
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([TOL, Tolerance(1e-300)]),
+)
+def test_linearity_witness_replays_to_the_largest_gap(n, seed, integers, alpha, tol):
+    # The tiny tolerance makes the averaging rules fail on rounding gaps,
+    # so their witnesses are replayed too.
+    first, second = seeded_table(n, seed, integers), seeded_table(n, seed + 1, integers)
+    mixed = mix(first, second, alpha)
+    for method in ALL_METHODS:
+        report = check_linearity(method, first, second, alpha, tol)
+        lhs = [score(method, mixed, f) for f in range(n)]
+        rhs = [
+            alpha * score(method, first, f) + (1.0 - alpha) * score(method, second, f)
+            for f in range(n)
+        ]
+        gaps = [abs(a - b) for a, b in zip(lhs, rhs)]
+        assert report.axiom == "score_linearity"
+        assert report.residual == max(gaps)
+        assert report.passed == (max(gaps) <= tol.absolute)
+        if not report.passed:
+            f = report.witness.feature
+            assert f == gaps.index(max(gaps))
+            assert (report.witness.lhs, report.witness.rhs) == (lhs[f], rhs[f])
+
+
+def test_linearity_matches_the_mci_nonlinearity_rows():
+    demo = demo_mci_nonlinearity(TOL)
+    rows = dict(demo.axiom_rows)
+    first, second = (ValueTable(2, demo.tables[name]) for name in ("first", "second"))
+    for method in ALL_METHODS:
+        report = check_linearity(method, first, second, demo.inputs["alpha"], TOL)
+        assert repr(report) == repr(rows[f"linearity[{method.value}]"])
+    assert not rows["linearity[mci]"].passed
 
 
 def test_axiom_report_contract():

@@ -220,6 +220,24 @@ def test_audit_sample_space(capsys, tmp_path):
     assert "value_consistency[global]" not in report["violations"]
 
 
+def test_audit_of_huge_weights_matches_unit_weights(capsys, tmp_path):
+    # Weights may be in any finite units, even where their sum overflows.
+    reports = []
+    for weight in (1e308, 1):
+        space = tmp_path / f"space-{weight}.json"
+        instances = [
+            {"weight": weight, "values": [0.0, 0.0, 1.0, 2.0]},
+            {"weight": weight, "values": [0.0, 1.0, 1.0, 1.0]},
+        ]
+        space.write_text(json.dumps({"n": 2, "instances": instances}))
+        code, out, err = run(capsys, ["audit", str(space)])
+        assert (code, err) == (0, "")
+        envelope = json.loads(out)
+        del envelope["input_sha256"]
+        reports.append(envelope)
+    assert reports[0] == reports[1]
+
+
 def test_audit_sample_space_respects_max_features(capsys, tmp_path):
     # The cap is checked before the instances are read.
     space = tmp_path / "space.json"
@@ -441,6 +459,20 @@ def test_a_failed_write_leaves_no_output_file(capsys, tmp_path, toy_table_file, 
     code, stdout, err = run(capsys, [*argv, "--out", str(out)])
     assert (code, stdout, err) == (1, "", f"error: [Errno 2] No such file or directory: '{bad}'\n")
     assert not good.exists()
+
+
+@pytest.mark.parametrize("command", ["eval-dataset", "partition"])
+def test_one_file_named_for_two_outputs_is_refused(capsys, tmp_path, toy_table_file, command):
+    # Else the report would overwrite the table or partition file.
+    path = tmp_path / "x.json"
+    if command == "eval-dataset":
+        argv = [command, TOY_CSV, "--target", "y", "--table-out", str(path)]
+    else:
+        argv = [command, str(toy_table_file), "--partition-out", str(path)]
+    out = tmp_path / "sub" / ".." / "x.json"
+    code, stdout, err = run(capsys, [*argv, "--out", str(out)])
+    assert (code, stdout, err) == (1, "", f"error: {out} is named for more than one output file\n")
+    assert not path.exists()
 
 
 _UNRECOGNIZED = (

@@ -262,16 +262,20 @@ def test_linearity_exact_for_weighted_average_rules(rng):
     b = random_table(rng, 4)
     for method in (ScoreMethod.BIVARIATE, ScoreMethod.ABLATION, ScoreMethod.SHAPLEY):
         report = check_linearity(method, a, b, 0.3)
-        assert not report.violated
-        assert report.max_deviation <= 1e-12
+        assert report.passed
+        assert report.residual <= 1e-12
 
 
 def test_linearity_violation_for_max_rule():
     a = ValueTable(2, [0.0, 0.0, 1.0, 2.0])
     b = ValueTable(2, [0.0, 1.0, 1.0, 1.0])
     report = check_linearity(ScoreMethod.MCI, a, b, 0.5)
-    assert report.violated
-    assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
+    assert not report.passed
+    assert report.residual == pytest.approx(0.5, abs=1e-12)
     mixed = mix(a, b, 0.5)
     assert np.allclose(score_vector(ScoreMethod.MCI, mixed).scores, [0.5, 1.0])
-    assert np.allclose(report.rhs, [1.0, 1.5])
+    mean_of_scores = (
+        0.5 * score_vector(ScoreMethod.MCI, a).scores + 0.5 * score_vector(ScoreMethod.MCI, b).scores
+    )
+    assert np.allclose(mean_of_scores, [1.0, 1.5])
+    assert report.witness.rhs == 1.0

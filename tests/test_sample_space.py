@@ -1,9 +1,12 @@
 """Instance-weighted spaces and local-global consistency."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepsets import (
     DegenerateInputError,
@@ -30,6 +33,25 @@ def test_weights_normalize():
     t = ValueTable(1, [0.0, 1.0])
     space = new_sample_space([(2.0, t), (6.0, t)])
     assert np.allclose(space.weights, [0.25, 0.75])
+    # Weights whose sum overflows the float range normalize too.
+    assert new_sample_space([(1e308, t), (1e308, t)]).weights.tolist() == [0.5, 0.5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.7976931348623157e308), min_size=1, max_size=5))
+def test_weights_are_their_share_of_the_sum_bit_for_bit(weights):
+    t = ValueTable(1, [0.0, 1.0])
+    total = sum(weights)
+    if total == 0:
+        with pytest.raises(DegenerateInputError):
+            new_sample_space([(w, t) for w in weights])
+        return
+    got = new_sample_space([(w, t) for w in weights]).weights
+    if math.isfinite(total):
+        assert [x.hex() for x in got.tolist()] == [(w / total).hex() for w in weights]
+    else:
+        # A sum past the float range is rescaled, not refused.
+        assert abs(float(got.sum()) - 1.0) <= 1e-12
 
 
 def test_zero_total_weight_is_degenerate():
