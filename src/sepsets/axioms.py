@@ -31,10 +31,8 @@ from .importance import (
     ScoreMethod,
     _vectors_from_features,
     _walk,
-    restricted_vector,
     score_vector,
 )
-from .separability import is_separable
 from .subset_algebra import (
     DEFAULT_TOL,
     Tolerance,
@@ -103,14 +101,6 @@ class AxiomReport:
         if self.detail:
             out["detail"] = self.detail
         return out
-
-
-@dataclass(frozen=True)
-class SeparableImportanceReport:
-    """Both directions of the separability/additivity correspondence."""
-
-    item1: AxiomReport
-    item2: AxiomReport
 
 
 def _passed(axiom: str, tol: Tolerance, residual: float = 0.0, detail: str = "") -> AxiomReport:
@@ -478,44 +468,6 @@ def audit_table(
             (f"elimination[{tag}]", _elimination_report(rises[m], tol)),
         ]
     return rows, vectors
-
-
-def check_separable_importance(
-    table: ValueTable,
-    method: ScoreMethod,
-    subset: int,
-    tol: Tolerance = DEFAULT_TOL,
-) -> SeparableImportanceReport:
-    """Separability of a set versus additivity of scores across it.
-
-    Item 1: if the subset is separable, every feature's score must be
-    the sum of its scores in the two subgames (a feature outside a
-    subgame contributes zero there). Item 2: if that additivity holds
-    for every feature, the subset must be separable. Each direction is
-    vacuous when its hypothesis fails.
-    """
-    sep = is_separable(table, subset, tol)
-    full_scores = score_vector(method, table).scores
-    combined = restricted_vector(method, table, subset) + restricted_vector(
-        method, table, table.full_mask ^ subset
-    )
-    additivity = _largest_gap("separable_importance_item1", full_scores, combined, tol)
-    if sep.separable:
-        item1 = additivity
-    else:
-        item1 = _vacuous("separable_importance_item1", tol, f"subset {subset} is not separable")
-    if not additivity.passed:
-        item2 = _vacuous(
-            "separable_importance_item2", tol, f"scores are not additive across subset {subset}"
-        )
-    else:
-        worst_T = sep.worst_T
-        split = float(
-            table.values[worst_T & subset] + table.values[worst_T & (table.full_mask ^ subset)]
-        )
-        witness = Witness(subset=worst_T, lhs=float(table.values[worst_T]), rhs=split)
-        item2 = _report("separable_importance_item2", tol, sep.worst_residual, witness)
-    return SeparableImportanceReport(item1=item1, item2=item2)
 
 
 def report_rows_markdown(rows: list[tuple[str, AxiomReport]]) -> str:

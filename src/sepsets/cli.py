@@ -188,11 +188,22 @@ def _methods(args) -> tuple[ScoreMethod, ...]:
     return tuple(dict.fromkeys(ScoreMethod.parse(name) for name in args.method))
 
 
+def _file_key(path: Path):
+    """One key for a file under any of its names (a hard link too); a
+    file that does not exist yet is keyed by its resolved path."""
+    try:
+        stat = path.stat()
+    except OSError:
+        return path.resolve()
+    return stat.st_dev, stat.st_ino
+
+
 def _emit(args, command: str, digest: str | None, report: dict, markdown: str, files=()) -> None:
     """Write ``files``, (path, bytes) pairs, and the report to ``--out``,
-    then print the report. Two of them naming one file are refused before
-    any is written. Every file is written before stdout; a failed write
-    unlinks the files already written and re-raises."""
+    then print the report. Two of them naming one file, or one naming the
+    input file, are refused before any is written. Every file is written
+    before stdout; a failed write unlinks the files already written and
+    re-raises."""
     envelope = {
         "tool": "sepsets",
         "version": __version__,
@@ -215,13 +226,16 @@ def _emit(args, command: str, digest: str | None, report: dict, markdown: str, f
         text = "\n".join(head) + "\n\n" + markdown
     if args.out is not None:
         files = [*files, (args.out, text.encode("utf-8"))]
-    if len(files) > 1:
-        seen = set()
-        for path, _ in files:
-            real = path.resolve()
-            if real in seen:
-                raise _UsageError(f"{path} is named for more than one output file")
-            seen.add(real)
+    # A demo reads no input file.
+    source = _file_key(args.input) if hasattr(args, "input") else None
+    seen = set()
+    for path, _ in files:
+        key = _file_key(path)
+        if key == source:
+            raise _UsageError(f"{path} names the input file")
+        if key in seen:
+            raise _UsageError(f"{path} is named for more than one output file")
+        seen.add(key)
     written = []
     try:
         for path, data in files:

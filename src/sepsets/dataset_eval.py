@@ -71,9 +71,14 @@ class Dataset:
             raise TableError("dataset entries must be finite")
         if np.any(w < 0):
             raise TableError("weights must be nonnegative")
-        # Exact power-of-two scaling keeps the sum of huge weights finite.
-        w = np.ldexp(w, -np.frexp(w.max())[1])
-        total = float(w.sum())
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
+        if not np.isfinite(total):
+            # Weights near the float maximum: a power-of-two rescale brings the
+            # largest into [0.5, 1), so their sum is finite. It is left to this
+            # case because it rounds weights it pushes below the normal range.
+            w = np.ldexp(w, -np.frexp(w.max())[1])
+            total = float(w.sum())
         if total <= 0:
             raise DegenerateInputError("weights must not all be zero")
         w = w / total

@@ -34,7 +34,6 @@ from .subset_algebra import (
     _halves,
     _marginals,
     _subset_transform,
-    eliminate,
     mobius_transform,
     popcount_table,
 )
@@ -231,41 +230,6 @@ def score(method: ScoreMethod, table: ValueTable, f: int) -> float:
 def score_vector(method: ScoreMethod, table: ValueTable) -> ImportanceVector:
     """Scores of every feature, with MCI witness contexts when applicable."""
     return score_vectors((method,), table)[method]
-
-
-def restricted_score(method: ScoreMethod, table: ValueTable, subset: int, f: int) -> float:
-    """Score of ``f`` inside the subgame on ``subset``.
-
-    The table is restricted to ``subset`` (all other features dropped)
-    and the feature is scored at its remapped index. ``f`` must belong
-    to ``subset``.
-    """
-    if not 0 <= f < table.n:
-        raise TableError(f"feature index {f} out of range for n={table.n}")
-    if not (subset >> f) & 1:
-        raise TableError(f"feature {f} does not belong to subset mask {subset}")
-    restricted, kept = eliminate(table, table.full_mask ^ subset)
-    return score(method, restricted, kept.index(f))
-
-
-def restricted_vector(
-    method: ScoreMethod, table: ValueTable, subset: int
-) -> np.ndarray:
-    """Length-n vector of subgame scores, zero outside ``subset``.
-
-    The empty subset yields the zero vector by convention (there is no
-    subgame to score).
-    """
-    if not 0 <= subset <= table.full_mask:
-        raise TableError(f"subset mask {subset} out of range for n={table.n}")
-    out = np.zeros(table.n, dtype=np.float64)
-    if subset == 0:
-        return out
-    restricted, kept = eliminate(table, table.full_mask ^ subset)
-    sub_scores = score_vector(method, restricted).scores
-    for new_idx, old_idx in enumerate(kept):
-        out[old_idx] = sub_scores[new_idx]
-    return out
 
 
 def grouped_score_vector(

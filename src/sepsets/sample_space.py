@@ -99,13 +99,6 @@ def global_table(space: SampleSpace) -> ValueTable:
     return ValueTable(space.n, acc)
 
 
-def duplicate_space(table: ValueTable, copies: int) -> SampleSpace:
-    """Uniform space of identical instances; its global table is the input."""
-    if copies < 1:
-        raise TableError(f"need at least one copy, got {copies}")
-    return SampleSpace(table.n, tuple((1.0, table) for _ in range(copies)))
-
-
 def check_value_consistency(
     space: SampleSpace, global_claim: ValueTable, tol: Tolerance = DEFAULT_TOL
 ) -> AxiomReport:

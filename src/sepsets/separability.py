@@ -265,49 +265,6 @@ def induced_meta_table(
     return ValueTable(k, meta)
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    """Separability of the sets derived from two separable inputs."""
-
-    complement_ok: bool
-    union_ok: bool
-    intersection_ok: bool
-    complement_first: SeparabilityReport
-    complement_second: SeparabilityReport
-    union: SeparabilityReport
-    intersection: SeparabilityReport
-
-
-def closure_check(
-    table: ValueTable, first: int, second: int, tol: Tolerance = DEFAULT_TOL
-) -> ClosureReport:
-    """Check complement, union, and intersection of two separable sets.
-
-    Raises :class:`NotSeparableError` when either input fails its own
-    separability test; the closure claims only apply to separable sets.
-    """
-    for label, subset in (("first", first), ("second", second)):
-        rep = is_separable(table, subset, tol)
-        if not rep.separable:
-            raise NotSeparableError(
-                f"precondition failed: {label} subset {subset} is not separable "
-                f"(worst residual {rep.worst_residual} at context {rep.worst_T})"
-            )
-    comp1 = is_separable(table, table.full_mask ^ first, tol)
-    comp2 = is_separable(table, table.full_mask ^ second, tol)
-    union = is_separable(table, first | second, tol)
-    inter = is_separable(table, first & second, tol)
-    return ClosureReport(
-        complement_ok=comp1.separable and comp2.separable,
-        union_ok=union.separable,
-        intersection_ok=inter.separable,
-        complement_first=comp1,
-        complement_second=comp2,
-        union=union,
-        intersection=inter,
-    )
-
-
 def partition_to_dict(partition: Partition) -> dict:
     """JSON-ready form: blocks as ascending index lists, canonical order."""
     return {

@@ -268,13 +268,6 @@ def mix(first: ValueTable, second: ValueTable, alpha: float) -> ValueTable:
     return ValueTable(first.n, alpha * first.values + (1.0 - alpha) * second.values)
 
 
-def tables_close(first: ValueTable, second: ValueTable, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Entrywise comparison at an absolute tolerance."""
-    if first.n != second.n:
-        return False
-    return bool(np.max(np.abs(first.values - second.values), initial=0.0) <= tol.absolute)
-
-
 def table_to_dict(table: ValueTable) -> dict:
     """JSON-ready form: ``{"n": ..., "values": [...]}`` in mask order."""
     return {"n": table.n, "values": [float(v) for v in table.values]}

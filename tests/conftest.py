@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sepsets import MobiusTable, ValueTable, indices_of, zeta_transform
+from sepsets import MobiusTable, Tolerance, ValueTable, indices_of, is_separable, zeta_transform
 
 
 def random_table(rng, n, *, zero_empty=True, scale=1.0):
@@ -54,6 +54,14 @@ def block_additive_table(rng, n, blocks, *, lo=0.5, hi=1.5):
         sub[0] = 0.0
         dividends[expand] += sub
     return zeta_transform(MobiusTable(n, dividends))
+
+
+def closure_holds(table, first, second, tol=Tolerance(1e-9)):
+    """The closure lemma: two separable sets, their complements, their
+    union and their intersection are all separable."""
+    full = table.full_mask
+    sets = (first, second, full ^ first, full ^ second, first | second, first & second)
+    return all(is_separable(table, s, tol).separable for s in sets)
 
 
 def sparse_mobius_table(rng, n, density):

@@ -16,12 +16,14 @@ import pytest
 
 from sepsets import (
     ALL_METHODS,
+    AxiomReport,
     ImportanceVector,
     OutcomeTable,
     Partition,
     ScoreMethod,
     Tolerance,
     ValueTable,
+    Witness,
     check_data_model_equivalence,
     check_elimination,
     check_empty_set,
@@ -31,16 +33,15 @@ from sepsets import (
     check_minimalism,
     check_monotonicity,
     check_null_feature,
-    check_separable_importance,
     check_symmetry,
     check_triviality,
     check_value_consistency,
-    closure_check,
     eliminate,
     enumerate_separable_sets,
     global_table,
     grouped_score_vector,
     induced_meta_table,
+    is_separable,
     maximal_partition,
     maximal_partition_oracle,
     mix,
@@ -57,6 +58,7 @@ from sepsets.scenarios import ColliderParams, demo_collider, demo_twin_features
 from conftest import (
     TOY_VALUES,
     block_additive_table,
+    closure_holds,
     random_blocks,
     random_table,
     sparse_mobius_table,
@@ -246,8 +248,7 @@ def test_criterion_06_closure_on_500_separable_pairs():
                 if (int(pick) >> j) & 1:
                     u |= blocks[j]
             unions.append(u)
-        report = closure_check(table, unions[0], unions[1], TOL)
-        if not (report.complement_ok and report.union_ok and report.intersection_ok):
+        if not closure_holds(table, unions[0], unions[1], TOL):
             violations += 1
     assert violations == 0
 
@@ -434,7 +435,13 @@ def _violation_case(seed):
 
     if kind == 8:
         table = ValueTable(2, [0.0, 1.0, 1.0, 2.3 + u])
-        report = check_separable_importance(table, ScoreMethod.BIVARIATE, 0b01, TOL).item2
+        # {0} is not separable: v({0, 1}) = 2.3 + u against v({0}) + v({1}) = 2.
+        # The witness is the context of the worst additivity residual.
+        sep = is_separable(table, 0b01, TOL)
+        witness = Witness(subset=sep.worst_T) if not sep.separable else None
+        report = AxiomReport(
+            "separability", sep.separable, sep.worst_residual, TOL.absolute, witness=witness
+        )
         return report, lambda w: abs(
             float(
                 table.values[w.subset]

@@ -22,10 +22,10 @@ from sepsets import (
     check_minimalism,
     check_monotonicity,
     check_null_feature,
-    check_separable_importance,
     check_symmetry,
     check_triviality,
     eliminate,
+    is_separable,
     mix,
     score,
     score_vector,
@@ -33,7 +33,7 @@ from sepsets import (
 from sepsets.axioms import Witness, report_rows_markdown
 from sepsets.scenarios import demo_mci_nonlinearity
 
-from conftest import random_table, seeded_table
+from conftest import block_additive_table, random_blocks, random_table, seeded_table
 
 TOL = Tolerance(1e-9)
 
@@ -277,44 +277,58 @@ def test_symmetry_rejects_unknown_variant(toy_table):
         check_symmetry(toy_table, v, "z_full", TOL)
 
 
+def _split_gap(method, table, subset):
+    """Largest gap between a feature's score and its score in the subgame
+    on its own side of ``subset``; zero when the scores split across it."""
+    split = np.zeros(table.n)
+    for side in (subset, table.full_mask ^ subset):
+        subgame, kept = eliminate(table, table.full_mask ^ side)
+        split[list(kept)] = score_vector(method, subgame).scores
+    return float(np.max(np.abs(score_vector(method, table).scores - split)))
+
+
 def test_separable_importance_item1_holds_on_toy(toy_table):
+    # Across a separable set, every rule's scores split into subgame scores.
+    assert is_separable(toy_table, 0b011, TOL).separable
     for method in ALL_METHODS:
-        report = check_separable_importance(toy_table, method, 0b011, TOL)
-        assert report.item1.passed and not report.item1.vacuous
-        assert report.item2.passed and not report.item2.vacuous
+        assert _split_gap(method, toy_table, 0b011) <= TOL.absolute, method
 
 
 def test_separable_importance_item1_vacuous_on_nonseparable(toy_table):
-    report = check_separable_importance(toy_table, ScoreMethod.MCI, 0b001, TOL)
-    assert report.item1.vacuous
-    # MCI scores happen to be additive across {0} anyway, so the
-    # converse direction has bite and catches the non-separability.
-    assert not report.item2.vacuous
-    assert not report.item2.passed
-    assert report.item2.residual == pytest.approx(0.5)
-    assert report.item2.witness.subset == 0b011
-    # Shapley additivity breaks across {0}, so there item 2 is vacuous.
-    shap = check_separable_importance(toy_table, ScoreMethod.SHAPLEY, 0b001, TOL)
-    assert shap.item1.vacuous and shap.item2.vacuous
-
-
-@pytest.mark.parametrize("subset", [-1, 0b1000])
-def test_separable_importance_rejects_an_out_of_range_subset(toy_table, subset):
-    with pytest.raises(TableError, match=rf"^subset mask {subset} out of range for n=3$"):
-        check_separable_importance(toy_table, ScoreMethod.MCI, subset, TOL)
+    sep = is_separable(toy_table, 0b001, TOL)
+    assert not sep.separable
+    assert sep.worst_residual == pytest.approx(0.5)
+    assert sep.worst_T == 0b011
+    # MCI scores happen to split across {0} anyway, so split scores do not
+    # make a set separable; Shapley scores do not split.
+    assert _split_gap(ScoreMethod.MCI, toy_table, 0b001) <= TOL.absolute
+    assert _split_gap(ScoreMethod.SHAPLEY, toy_table, 0b001) > TOL.absolute
 
 
 def test_separable_importance_item2_violation():
-    # Bivariate scores are additive across {0} here, yet the set is not
-    # separable: the converse direction fails with a subset witness.
+    # Bivariate scores split across {0} here, yet the set is not
+    # separable: the residual is v({0, 1}) - v({0}) - v({1}).
     table = ValueTable(2, [0.0, 1.0, 1.0, 2.3])
-    report = check_separable_importance(table, ScoreMethod.BIVARIATE, 0b01, TOL)
-    assert report.item1.vacuous
-    assert not report.item2.passed
-    assert report.item2.witness.subset == 0b11
-    assert report.item2.witness.lhs == pytest.approx(2.3)
-    assert report.item2.witness.rhs == pytest.approx(2.0)
-    assert report.item2.residual == pytest.approx(0.3)
+    assert _split_gap(ScoreMethod.BIVARIATE, table, 0b01) <= TOL.absolute
+    sep = is_separable(table, 0b01, TOL)
+    assert not sep.separable
+    assert sep.worst_T == 0b11
+    assert sep.worst_residual == pytest.approx(0.3)
+
+
+def test_scores_split_across_every_separable_set(rng):
+    # The theorem on planted block tables: across every separable set,
+    # found by testing each mask, every rule's scores split.
+    checked = 0
+    for _ in range(10):
+        n = int(rng.integers(2, 7))
+        table = block_additive_table(rng, n, random_blocks(rng, n))
+        for s in range(1, table.full_mask):
+            if is_separable(table, s, TOL).separable:
+                checked += 1
+                for method in ALL_METHODS:
+                    assert _split_gap(method, table, s) <= TOL.absolute, (s, method)
+    assert checked > 0
 
 
 @settings(max_examples=40, deadline=None)

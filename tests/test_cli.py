@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, and diagnostics."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -461,18 +462,51 @@ def test_a_failed_write_leaves_no_output_file(capsys, tmp_path, toy_table_file, 
     assert not good.exists()
 
 
-@pytest.mark.parametrize("command", ["eval-dataset", "partition"])
-def test_one_file_named_for_two_outputs_is_refused(capsys, tmp_path, toy_table_file, command):
-    # Else the report would overwrite the table or partition file.
-    path = tmp_path / "x.json"
+@pytest.mark.parametrize(
+    "command, clash",
+    [
+        pytest.param("eval-dataset", "out", id="eval-dataset"),
+        pytest.param("partition", "out", id="partition"),
+        pytest.param("partition", "out-link", id="out-is-a-hard-link-to-the-partition-file"),
+        pytest.param("eval-dataset", "side-input", id="table-out-names-the-input"),
+        pytest.param("partition", "side-input", id="partition-out-names-the-input"),
+        pytest.param("eval-dataset", "out-input", id="out-names-the-input"),
+        pytest.param("eval-dataset", "side-link", id="table-out-is-a-hard-link-to-the-input"),
+    ],
+)
+def test_one_file_named_for_two_outputs_is_refused(
+    capsys, tmp_path, toy_table_file, command, clash
+):
+    # Else the report would overwrite the table or partition file, or the
+    # input itself. Nothing is written: every file keeps its SHA-256.
     if command == "eval-dataset":
-        argv = [command, TOY_CSV, "--target", "y", "--table-out", str(path)]
+        source = tmp_path / "toy.csv"
+        source.write_bytes(Path(TOY_CSV).read_bytes())
+        argv, side = [command, str(source), "--target", "y"], "--table-out"
     else:
-        argv = [command, str(toy_table_file), "--partition-out", str(path)]
-    out = tmp_path / "sub" / ".." / "x.json"
-    code, stdout, err = run(capsys, [*argv, "--out", str(out)])
-    assert (code, stdout, err) == (1, "", f"error: {out} is named for more than one output file\n")
-    assert not path.exists()
+        source, argv, side = toy_table_file, [command, str(toy_table_file)], "--partition-out"
+    x, link = tmp_path / "x.json", tmp_path / "link"
+    (tmp_path / "sub").mkdir()
+    if clash == "out-link":
+        x.write_text("{}\n")
+    if clash.endswith("link"):
+        os.link(x if clash == "out-link" else source, link)
+    twice, input_named = "is named for more than one output file", "names the input file"
+    flags, named, message = {
+        "out": ([side, str(x), "--out"], tmp_path / "sub" / ".." / "x.json", twice),
+        "out-link": ([side, str(x), "--out"], link, twice),
+        "side-input": ([side], tmp_path / "sub" / ".." / source.name, input_named),
+        "out-input": ([side, str(x), "--out"], tmp_path / "sub" / ".." / source.name, input_named),
+        "side-link": ([side], link, input_named),
+    }[clash]
+
+    def digests():
+        return {f: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.rglob("*.*")}
+
+    before = digests()
+    code, stdout, err = run(capsys, [*argv, *flags, str(named)])
+    assert (code, stdout, err) == (1, "", f"error: {named} {message}\n")
+    assert digests() == before
 
 
 _UNRECOGNIZED = (

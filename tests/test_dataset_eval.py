@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepsets import (
@@ -266,6 +266,28 @@ def test_column_units_move_no_value(rng):
         assert np.max(np.abs(values - base)) <= 1e-12, k
     values = r2_value_table(new_dataset(X, y, w * 1e307)).values
     assert np.max(np.abs(values - base)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.7976931348623157e308), min_size=1, max_size=5))
+@example([1.0, 2.225073858507201e-308])
+def test_weights_are_their_share_of_the_sum_bit_for_bit(weights):
+    # A power-of-two rescale would round a weight it pushes below the
+    # normal range (the example's second share would lose its last bit),
+    # so it is kept for sums past the float range.
+    w = np.array(weights)
+    X, y = np.ones((w.size, 1)), np.ones(w.size)
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if total == 0:
+        with pytest.raises(DegenerateInputError):
+            new_dataset(X, y, w)
+        return
+    got = new_dataset(X, y, w).w
+    if np.isfinite(total):
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in (w / total).tolist()]
+    else:
+        assert abs(float(got.sum()) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [15, 16, 17])

@@ -19,8 +19,6 @@ from sepsets import (
     check_linearity,
     grouped_score_vector,
     mix,
-    restricted_score,
-    restricted_vector,
     score,
     score_vector,
     shapley_weights,
@@ -216,25 +214,6 @@ def test_importance_vector_witness_contract():
     with pytest.raises(TableError):
         # Witness context must exclude its own feature.
         ImportanceVector(ScoreMethod.MCI, np.zeros(2), (1, 0))
-
-
-def test_restricted_vector_on_toy(toy_table):
-    pair = restricted_vector(ScoreMethod.BIVARIATE, toy_table, 0b011)
-    assert np.allclose(pair, [0.5, 0.5, 0.0])
-    solo = restricted_vector(ScoreMethod.MCI, toy_table, 0b100)
-    assert np.allclose(solo, [0.0, 0.0, 1 / 3])
-    assert np.array_equal(restricted_vector(ScoreMethod.MCI, toy_table, 0), np.zeros(3))
-    full = restricted_vector(ScoreMethod.SHAPLEY, toy_table, 0b111)
-    assert np.allclose(full, [0.25, 0.25, 1 / 3])
-
-
-def test_restricted_score_matches_vector(rng, toy_table):
-    for method in ALL_METHODS:
-        vec = restricted_vector(method, toy_table, 0b101)
-        for f in (0, 2):
-            assert restricted_score(method, toy_table, 0b101, f) == float(vec[f])
-    with pytest.raises(TableError):
-        restricted_score(ScoreMethod.MCI, toy_table, 0b101, 1)
 
 
 def test_grouped_scores_on_toy(toy_table):

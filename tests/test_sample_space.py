@@ -16,7 +16,6 @@ from sepsets import (
     ValueTable,
     check_importance_consistency,
     check_value_consistency,
-    duplicate_space,
     global_table,
     new_sample_space,
     score_vector,
@@ -122,7 +121,7 @@ def test_max_rule_breaks_consistency_on_known_pair():
 
 def test_duplicate_space_is_trivially_consistent(rng):
     table = random_table(rng, 4)
-    space = duplicate_space(table, 5)
+    space = new_sample_space([(1.0, table)] * 5)
     assert len(space.instances) == 5
     for method in (ScoreMethod.MCI, ScoreMethod.SHAPLEY):
         assert check_importance_consistency(space, method, TOL).passed

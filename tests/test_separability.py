@@ -18,9 +18,9 @@ from sepsets import (
     PartitionError,
     ScoreMethod,
     SeparabilityReport,
+    TableError,
     Tolerance,
     ValueTable,
-    closure_check,
     enumerate_separable_sets,
     grouped_score_vector,
     indices_of,
@@ -43,6 +43,7 @@ from sepsets.separability import maximal_partition_oracle_sets
 
 from conftest import (
     block_additive_table,
+    closure_holds,
     random_blocks,
     random_table,
     seeded_table,
@@ -209,9 +210,14 @@ def test_meta_table_matches_block_sums(rng):
         assert meta.values[h] == pytest.approx(float(table.values[union]), abs=1e-9)
 
 
+@pytest.mark.parametrize("subset", [-1, 0b1000])
+def test_is_separable_rejects_an_out_of_range_subset(toy_table, subset):
+    with pytest.raises(TableError, match=rf"^subset mask {subset} out of range for n=3$"):
+        is_separable(toy_table, subset, TOL)
+
+
 def test_closure_on_toy(toy_table):
-    report = closure_check(toy_table, 0b011, 0b100, TOL)
-    assert report.complement_ok and report.union_ok and report.intersection_ok
+    assert closure_holds(toy_table, 0b011, 0b100)
 
 
 def test_closure_over_block_unions(rng):
@@ -228,17 +234,7 @@ def test_closure_over_block_unions(rng):
                 if (int(pick) >> j) & 1:
                     u |= blocks[j]
             unions.append(u)
-        report = closure_check(table, unions[0], unions[1], TOL)
-        assert report.complement_ok and report.union_ok and report.intersection_ok
-
-
-def test_closure_requires_separable_inputs(toy_table):
-    with pytest.raises(NotSeparableError) as exc:
-        closure_check(toy_table, 0b001, 0b100, TOL)
-    assert "first" in str(exc.value)
-    with pytest.raises(NotSeparableError) as exc:
-        closure_check(toy_table, 0b011, 0b010, TOL)
-    assert "second" in str(exc.value)
+        assert closure_holds(table, unions[0], unions[1])
 
 
 def test_partition_construction_contract():

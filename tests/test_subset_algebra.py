@@ -23,12 +23,11 @@ from sepsets import (
     mobius_transform,
     table_from_dict,
     table_to_dict,
-    tables_close,
     zeta_transform,
 )
 from sepsets.subset_algebra import popcount_table
 
-from conftest import TOY_VALUES, random_table
+from conftest import random_table
 from exact import mobius_exact
 
 
@@ -259,13 +258,6 @@ def test_tolerance_contract():
         Tolerance(0.0)
     with pytest.raises(TableError):
         Tolerance(float("nan"))
-
-
-def test_tables_close(toy_table):
-    other = ValueTable(3, np.array(TOY_VALUES) + 1e-12)
-    assert tables_close(toy_table, other, Tolerance(1e-9))
-    far = ValueTable(3, np.array(TOY_VALUES) + 1e-3)
-    assert not tables_close(toy_table, far, Tolerance(1e-9))
 
 
 def test_dict_roundtrip_is_byte_stable(toy_table):
