@@ -27,9 +27,13 @@ import numpy as np
 from .dataset_eval import OutcomeTable, null_feature_residual
 from .errors import TableError
 from .importance import (
+    _SUBGAME_RULES,
     ImportanceVector,
     ScoreMethod,
-    _vectors_from_features,
+    _first_vectors,
+    _shapley_shares,
+    _stack_columns,
+    _subgame_scores,
     _walk,
     score_vector,
 )
@@ -220,11 +224,19 @@ def check_elimination(
     O(2^n) memory. The witness is the largest rise, ties going to the
     lowest drop mask and then the lowest feature; its features are in
     the original indexing.
+
+    Two rules pass with residual 0.0 and nothing to score. Bivariate keeps
+    v({f}) in every subgame. MCI satisfies elimination (Catav et al.,
+    ICML 2021): a subgame's score is a maximum over fewer contexts, which
+    never exceeds the maximum over all of them, in floats as well. A rise
+    from overflowing marginals is NaN or -inf, never above 0.
     """
     rises = []
-    if table.n > 1 and method is not ScoreMethod.BIVARIATE:
-        for f, (_, _, (in_subgames,)) in enumerate(_walk(table, (), (method,))):
-            rises.append(_rise(f, in_subgames))
+    if table.n > 1 and method in _SUBGAME_RULES:
+        shares = _shapley_shares(table) if method is ScoreMethod.SHAPLEY else None
+        for f in range(table.n):
+            diffs = _marginals(table.values, table.n, f) if method is ScoreMethod.ABLATION else None
+            rises.append(_rise(f, _subgame_scores(method, table, f, diffs, shares)))
     return _elimination_report(rises, tol)
 
 
@@ -433,22 +445,25 @@ def audit_table(
     Returns the labeled rows, each equal to its ``check_*`` report, and
     the score vectors, MCI among them. Feature f's marginals are computed
     once and feed monotonicity, every rule's score, triviality item 2 and
-    the ablation and MCI subgames; one feature's arrays live at a time.
+    the ablation subgames; one feature's arrays live at a time. Only the
+    ablation and Shapley subgames are scored (see :func:`check_elimination`).
     """
     methods = tuple(methods)
     rules = methods + (() if ScoreMethod.MCI in methods else (ScoreMethod.MCI,))
-    subgames = methods if table.n > 1 else ()
+    subgames = [m for m in methods if m in _SUBGAME_RULES] if table.n > 1 else []
+    shares = _shapley_shares(table) if ScoreMethod.SHAPLEY in subgames else None
     descents, tops, per_feature = [], [], []
     rises: dict[ScoreMethod, list] = {m: [] for m in methods}
-    for f, (diffs, scores, in_subgames) in enumerate(_walk(table, rules, subgames)):
+    # MCI is always among the rules, so every feature's marginals come back.
+    for f, (diffs, scores) in enumerate(_walk(table.values[None], table.n, rules)):
+        diffs = diffs[0]
         per_feature.append(scores)
         descents.append(_descent(table.values, f, diffs))
-        active = any(abs(s) > tol.absolute for s, _ in scores[: len(methods)])
+        active = any(abs(s[0]) > tol.absolute for s, _ in scores[: len(methods)])
         tops.append(float(np.max(np.abs(diffs))) if active else None)
-        for m, scored in zip(subgames, in_subgames):
-            if scored is not None:
-                rises[m].append(_rise(f, scored))
-    vectors = _vectors_from_features(rules, per_feature)
+        for m in subgames:
+            rises[m].append(_rise(f, _subgame_scores(m, table, f, diffs, shares)))
+    vectors = _first_vectors(_stack_columns(rules, per_feature))
     reference = vectors[ScoreMethod.MCI].scores
     pairs = _interchangeable(table, tol)
     rows = [

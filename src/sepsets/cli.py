@@ -11,6 +11,7 @@ when ``partition --with-oracle`` disagrees with the exhaustive oracle.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -159,10 +160,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that every :func:`main` call in a process shares: parsing
+    returns a fresh namespace and leaves the parser as it was, so one built
+    parser serves them all."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

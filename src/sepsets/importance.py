@@ -12,12 +12,14 @@ Four scoring rules, all exact functions of the table:
 
 Scores come back per feature or as a whole vector; vectors share the
 popcount and weight precomputation, which is what keeps the Shapley
-path usable at the 20-feature cap.
+path usable at the 20-feature cap. One walk over the features scores a
+stack of tables, one table per row; a single table is a stack of one.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,21 +59,25 @@ class ScoreMethod(enum.Enum):
 ALL_METHODS = tuple(ScoreMethod)
 
 
+@functools.cache
 def shapley_weights(n: int) -> np.ndarray:
     """Per-cardinality Shapley context weights for an n-feature game.
 
     Entry k is ``k! * (n-1-k)! / n!`` evaluated as an exact rational and
     rounded once to float64, so no intermediate overflows or drifts even
     at the feature cap. Over all contexts of one feature the weights sum
-    to exactly 1.
+    to exactly 1. They are computed once per n, and every caller shares
+    one read-only array.
     """
     if n < 1:
         raise TableError(f"need at least one feature, got n={n}")
     base = factorial(n)
-    return np.array(
+    weights = np.array(
         [float(Fraction(factorial(k) * factorial(n - 1 - k), base)) for k in range(n)],
         dtype=np.float64,
     )
+    weights.setflags(write=False)
+    return weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +118,9 @@ class ImportanceVector:
 
 # Rules that read a feature's marginals; the other two read single entries.
 _MARGINAL_RULES = (ScoreMethod.SHAPLEY, ScoreMethod.MCI)
+# Rules whose subgame scores can rise: bivariate keeps v({f}) in every
+# subgame, and MCI satisfies elimination (see check_elimination).
+_SUBGAME_RULES = (ScoreMethod.ABLATION, ScoreMethod.SHAPLEY)
 
 # OpenBLAS splits a dot product over more than 10000 entries across its
 # threads, which moves the last bits of the sum; runs of this length
@@ -119,27 +128,32 @@ _MARGINAL_RULES = (ScoreMethod.SHAPLEY, ScoreMethod.MCI)
 _DOT_RUN = 1 << 13
 
 
-def _score_one(
-    method: ScoreMethod, table: ValueTable, f: int,
+def _score_rows(
+    method: ScoreMethod, values: np.ndarray, f: int,
     diffs: np.ndarray | None, weights: np.ndarray | None,
-) -> tuple[float, int | None]:
-    """Feature f's score and MCI witness, given its marginals when the rule reads them."""
-    v = table.values
-    bit = 1 << f
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Feature f's score in each row of ``values``, a stack of tables of
+    2^n entries each, and under MCI the index of each row's witness in its
+    marginals; ``diffs`` holds the rows' marginals when the rule reads them."""
+    bit, full = 1 << f, values.shape[1] - 1
     if method is ScoreMethod.BIVARIATE:
-        return float(v[bit]), None
+        return values[:, bit], None
     if method is ScoreMethod.ABLATION:
-        return float(v[table.full_mask] - v[table.full_mask ^ bit]), None
+        return values[:, full] - values[:, full ^ bit], None
     if method is ScoreMethod.SHAPLEY:
         assert weights is not None and diffs is not None
-        runs = range(0, diffs.size, _DOT_RUN)
-        dots = (weights[i : i + _DOT_RUN] @ diffs[i : i + _DOT_RUN] for i in runs)
-        return float(reduce(operator.add, dots)), None
+        runs = range(0, diffs.shape[1], _DOT_RUN)
+        sums = (
+            reduce(operator.add, (weights[i : i + _DOT_RUN] @ row[i : i + _DOT_RUN] for i in runs))
+            for row in diffs
+        )
+        return np.fromiter(sums, np.float64, diffs.shape[0]), None
     if method is ScoreMethod.MCI:
-        # argmax picks the first maximizer; contexts run in ascending
-        # mask order, so that is the lowest-bitmask witness.
-        best = int(np.argmax(diffs))
-        return float(diffs[best]), _context_mask(best, f)
+        # argmax picks each row's first maximizer; contexts run in ascending
+        # mask order, so that is the lowest-bitmask witness. The score is
+        # read at it, so a signed zero keeps its sign.
+        best = np.argmax(diffs, axis=1)
+        return diffs[np.arange(best.size), best], best
     raise TableError(f"unhandled method {method!r}")
 
 
@@ -148,35 +162,50 @@ def _shapley_context_weights(n: int) -> np.ndarray:
     return shapley_weights(n)[popcount_table(n - 1)]
 
 
-def _vectors_from_features(
-    methods: tuple[ScoreMethod, ...], per_feature: list[list[tuple[float, int | None]]]
-) -> dict[ScoreMethod, ImportanceVector]:
-    """Score vectors from each feature's ``_score_one`` results, one per method."""
-    vectors = {}
+def _walk(values: np.ndarray, n: int, rules: tuple[ScoreMethod, ...]):
+    """Walk the features in ascending order over ``values``, a stack of
+    tables of shape (k, 2^n), yielding each one's marginals, shape
+    (k, 2^(n-1)) and None unless a rule reads them, and its
+    ``_score_rows`` result under each of ``rules``."""
+    weights = _shapley_context_weights(n) if ScoreMethod.SHAPLEY in rules else None
+    reads = not {*rules}.isdisjoint(_MARGINAL_RULES)
+    for f in range(n):
+        diffs = _marginals(values, n, f) if reads else None
+        yield diffs, [_score_rows(m, values, f, diffs, weights) for m in rules]
+
+
+def _stack_columns(
+    methods: tuple[ScoreMethod, ...], per_feature: list[list[tuple[np.ndarray, np.ndarray | None]]]
+) -> dict[ScoreMethod, tuple[np.ndarray, np.ndarray | None]]:
+    """Each rule's scores, shape (k, n), and MCI's witness contexts, from
+    each feature's ``_score_rows`` results."""
+    n = len(per_feature)
+    columns = {}
     for m, column in zip(methods, zip(*per_feature)):
-        scores, witnesses = zip(*column)
-        witnesses = witnesses if m is ScoreMethod.MCI else None
-        vectors[m] = ImportanceVector(m, np.array(scores), witnesses)
+        scores, best = zip(*column)
+        witnesses = None
+        if m is ScoreMethod.MCI:
+            witnesses = _context_mask(np.concatenate(best).reshape(n, -1).T, np.arange(n))
+        columns[m] = np.concatenate(scores).reshape(n, -1).T, witnesses
+    return columns
+
+
+def _stack_scores(
+    methods: tuple[ScoreMethod, ...], values: np.ndarray, n: int
+) -> dict[ScoreMethod, tuple[np.ndarray, np.ndarray | None]]:
+    """:func:`_stack_columns` of one walk over a stack of tables."""
+    return _stack_columns(methods, [scores for _, scores in _walk(values, n, methods)])
+
+
+def _first_vectors(
+    columns: dict[ScoreMethod, tuple[np.ndarray, np.ndarray | None]]
+) -> dict[ScoreMethod, ImportanceVector]:
+    """Score vectors of the first table of a stack, from :func:`_stack_columns`."""
+    vectors = {}
+    for m, (scores, witnesses) in columns.items():
+        contexts = None if witnesses is None else tuple(witnesses[0].tolist())
+        vectors[m] = ImportanceVector(m, scores[0], contexts)
     return vectors
-
-
-def _walk(
-    table: ValueTable, rules: tuple[ScoreMethod, ...], subgames: tuple[ScoreMethod, ...] = ()
-):
-    """Walk the features in ascending order, yielding each one's marginals
-    (None unless a rule or a subgame reads them), its ``_score_one`` result
-    under each of ``rules`` and its ``_subgame_scores`` under each of ``subgames``."""
-    weights = _shapley_context_weights(table.n) if ScoreMethod.SHAPLEY in rules else None
-    shares = _shapley_shares(table) if ScoreMethod.SHAPLEY in subgames else None
-    # Ablation and MCI subgames read the marginals, Shapley ones the shares.
-    reads = {*rules} & {*_MARGINAL_RULES} or {*subgames} & {ScoreMethod.ABLATION, ScoreMethod.MCI}
-    for f in range(table.n):
-        diffs = _marginals(table.values, table.n, f) if reads else None
-        yield (
-            diffs,
-            [_score_one(m, table, f, diffs, weights) for m in rules],
-            [_subgame_scores(m, table, f, diffs, shares) for m in subgames],
-        )
 
 
 def score_vectors(
@@ -184,8 +213,7 @@ def score_vectors(
 ) -> dict[ScoreMethod, ImportanceVector]:
     """Score vectors under several rules from one walk over the features;
     a feature's marginals are computed once, when some rule reads them."""
-    methods = tuple(methods)
-    return _vectors_from_features(methods, [scores for _, scores, _ in _walk(table, methods)])
+    return _first_vectors(_stack_scores(tuple(methods), table.values[None], table.n))
 
 
 def _shapley_shares(table: ValueTable) -> np.ndarray:
@@ -198,33 +226,32 @@ def _shapley_shares(table: ValueTable) -> np.ndarray:
 def _subgame_scores(
     method: ScoreMethod, table: ValueTable, f: int,
     diffs: np.ndarray | None, shares: np.ndarray | None,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Feature f's score in every subgame containing it, in O(n * 2^n) at most.
 
     Entry c scores f in the subgame on ``_context_mask(c, f) | 1 << f``,
     so the last entry is the full game. A subgame keeps f's marginals
     ``diffs`` over its contexts and the dividends of its subsets: ablation
-    reads the marginals, MCI takes their subset maxima, Shapley sums
-    ``shares`` (see :func:`_shapley_shares`) over the W containing f, and
-    bivariate, constant at v({f}), gives None.
+    reads the marginals, and Shapley sums ``shares`` (see
+    :func:`_shapley_shares`) over the W containing f. Only the rules of
+    ``_SUBGAME_RULES`` are scored here.
     """
     if method is ScoreMethod.ABLATION:
         return diffs
-    if method is ScoreMethod.MCI:
-        return _subset_transform(diffs.copy(), table.n - 1, np.maximum)
     if method is ScoreMethod.SHAPLEY:
         _, with_f = _halves(shares, table.n, f)
         return _subset_transform(with_f.flatten(), table.n - 1, np.add)
-    return None
+    raise TableError(f"no subgame scores for {method!r}")
 
 
 def score(method: ScoreMethod, table: ValueTable, f: int) -> float:
     """Importance of feature ``f`` under ``method``."""
     if not 0 <= f < table.n:
         raise TableError(f"feature index {f} out of range for n={table.n}")
-    diffs = _marginals(table.values, table.n, f) if method in _MARGINAL_RULES else None
+    values = table.values[None]
+    diffs = _marginals(values, table.n, f) if method in _MARGINAL_RULES else None
     weights = _shapley_context_weights(table.n) if method is ScoreMethod.SHAPLEY else None
-    return _score_one(method, table, f, diffs, weights)[0]
+    return float(_score_rows(method, values, f, diffs, weights)[0][0])
 
 
 def score_vector(method: ScoreMethod, table: ValueTable) -> ImportanceVector:

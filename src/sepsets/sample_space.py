@@ -23,7 +23,7 @@ import numpy as np
 
 from .axioms import AxiomReport, _largest_gap, audit_table
 from .errors import DegenerateInputError, TableError
-from .importance import ScoreMethod, score_vector, score_vectors
+from .importance import ScoreMethod, _stack_scores, score_vector
 from .subset_algebra import (
     DEFAULT_TOL,
     Tolerance,
@@ -34,6 +34,8 @@ from .subset_algebra import (
 )
 
 _WEIGHT_SUM_SLACK = 1e-12
+# Entries per stack of instance tables scored together (8 MB of float64).
+_GROUP_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +116,19 @@ def check_value_consistency(
 def _mean_scores(
     space: SampleSpace, methods: tuple[ScoreMethod, ...]
 ) -> dict[ScoreMethod, np.ndarray]:
-    """Weighted mean of the instance scores under each rule, one pass per instance."""
+    """Weighted mean of the instance scores under each rule.
+
+    Instances are stacked in groups of at most ``_GROUP_ENTRIES`` table
+    entries, and each group is scored in one walk over the features. The
+    weighted scores are added in instance order."""
     means = {m: np.zeros(space.n, dtype=np.float64) for m in methods}
-    for w, t in space.instances:
-        vectors = score_vectors(methods, t)
+    size = max(1, _GROUP_ENTRIES >> space.n)
+    for start in range(0, len(space.instances), size):
+        group = space.instances[start : start + size]
+        columns = _stack_scores(methods, np.stack([t.values for _, t in group]), space.n)
         for m in methods:
-            means[m] += w * vectors[m].scores
+            for (w, _), scores in zip(group, columns[m][0]):
+                means[m] += w * scores
     return means
 
 
@@ -137,7 +146,8 @@ def audit_space(
 ) -> list[tuple[str, AxiomReport]]:
     """Value consistency, importance consistency per rule and :func:`audit_table`
     of the global table, as labeled rows. The global table is built once,
-    and each instance is scored under every rule in one walk."""
+    and the instances are scored under every rule in one walk per group
+    (see :func:`_mean_scores`)."""
     methods = tuple(methods)
     mean = global_table(space)
     means = _mean_scores(space, methods)

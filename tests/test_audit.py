@@ -146,6 +146,38 @@ def test_shapley_elimination_computes_no_marginals(monkeypatch):
     assert len(marginals) == 8
 
 
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_mci_elimination_runs_no_subset_transform(monkeypatch, n):
+    # MCI satisfies elimination, so its row comes without subgame maxima;
+    # the one-zeta Moebius transform of the Shapley shares goes through
+    # subset_algebra's binding, and each Shapley subgame through importance's.
+    table = seeded_table(n, 5, False)
+    calls = _count_calls(monkeypatch, (importance, subset_algebra), "_subset_transform")
+    rows, _ = audit_table(table, "table", (ScoreMethod.MCI,), Tolerance(1e-9))
+    assert calls == []
+    assert repr(dict(rows)["elimination[table,mci]"]) == repr(
+        audit_oracle.check_elimination(ScoreMethod.MCI, table, Tolerance(1e-9))
+    )
+    audit_table(table, "table", ALL_METHODS, Tolerance(1e-9))
+    assert len(calls) == (n + 1 if n > 1 else 0)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, -1e308, -1e308, 1e308],  # a rise of -inf
+        [-1e308, 1e308, -1e308, 1e308],  # a rise of inf - inf, NaN
+    ],
+)
+def test_mci_elimination_is_the_theorem_row_when_marginals_overflow(values):
+    table = sepsets.ValueTable(2, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = audit_oracle.check_elimination(ScoreMethod.MCI, table, Tolerance(1e-9))
+        report = axioms.check_elimination(ScoreMethod.MCI, table)
+    assert repr(report) == repr(expected)
+    assert (report.passed, report.residual, report.witness) == (True, 0.0, None)
+
+
 _COMBINES = (np.add, np.subtract, np.maximum)
 
 

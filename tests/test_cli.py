@@ -24,8 +24,9 @@ from sepsets import (
     table_to_dict,
     validate_partition,
 )
-from sepsets import inputs
+from sepsets import cli, inputs
 from sepsets.cli import main
+from sepsets.scenarios import ColliderParams
 from sepsets.inputs import table_json
 
 from conftest import TOY_VALUES, seeded_table
@@ -1363,6 +1364,54 @@ def test_demo_collider_flags(capsys):
 def test_collider_flags_are_refused_by_the_other_demos(capsys, name):
     code, out, err = run(capsys, ["demo", name, "--p-smoke", "0.4"])
     assert (code, out, err) == (1, "", "error: unrecognized arguments: --p-smoke 0.4\n")
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert run(capsys, ["demo", "toy-separable"])[0] == 0
+    assert builds == [1]
+
+
+def test_a_reused_parser_keeps_no_rule_choice(capsys):
+    toy = str(GOLDEN / "toy.json")
+    assert run(capsys, ["audit", toy, "--method", "mci"])[0] == 0
+    code, out, _ = run(capsys, ["audit", toy])
+    assert code == 0
+    assert out == (GOLDEN / "toy.all.stdout").read_text(encoding="utf-8")
+    labels = [check["check"] for check in json.loads(out)["report"]["checks"]]
+    for m in ScoreMethod:
+        assert f"elimination[table,{m.value}]" in labels
+
+
+def test_a_reused_parser_keeps_no_collider_flag(capsys):
+    assert run(capsys, ["demo", "collider", "--p-smoke", "0.4"])[0] == 0
+    code, out, _ = run(capsys, ["demo", "collider"])
+    assert code == 0
+    assert out == (GOLDEN / "demo-collider.json.stdout").read_text(encoding="utf-8")
+    assert json.loads(out)["report"]["inputs"]["p_smoke"] == ColliderParams().p_smoke
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["audit", "TOY", "--method", "nope"],
+        ["audit", "TOY", "--tol", "-1"],
+        ["demo", "collider", "--p-smoke"],
+        ["scores"],
+    ],
+)
+def test_a_usage_error_leaves_the_parser_as_a_fresh_one(capsys, bad):
+    toy = str(GOLDEN / "toy.json")
+    good = ["audit", toy, "--method", "mci", "--method", "ablation"]
+    assert run(capsys, [toy if arg == "TOY" else arg for arg in bad])[0] == 1
+    after_error = run(capsys, good)
+    cli._parser.cache_clear()
+    assert run(capsys, good) == after_error
+    assert after_error[1] == (GOLDEN / "toy.mci-ablation.stdout").read_text(encoding="utf-8")
 
 
 def test_demo_markdown(capsys):

@@ -117,6 +117,15 @@ def test_shapley_weights_sum_to_one_exactly():
         assert np.all(w > 0)
 
 
+def test_shapley_weights_are_one_shared_read_only_array():
+    weights = shapley_weights(9)
+    assert shapley_weights(9) is weights
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 1.0
+    assert shapley_weights(9)[0] == float(Fraction(factorial(8), factorial(9)))
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(min_value=1, max_value=8),

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepsets import (
+    ALL_METHODS,
     DegenerateInputError,
     ScoreMethod,
     TableError,
@@ -19,9 +20,13 @@ from sepsets import (
     global_table,
     new_sample_space,
     score_vector,
+    score_vectors,
     space_from_dict,
     space_to_dict,
 )
+
+from sepsets import sample_space
+from sepsets.importance import _stack_scores
 
 from conftest import random_table
 
@@ -136,3 +141,57 @@ def test_space_dict_roundtrip(rng):
     assert np.allclose(back.weights, space.weights)
     for a, b in zip(back.tables, space.tables):
         assert np.array_equal(a.values, b.values)
+
+
+def _instance_table(rng, n, kind):
+    """A random, small-integer, 1e8-scaled or all-zero table; a fifth of its
+    entries, or all of them, are zeros of either sign."""
+    if kind == "zeros":
+        values = np.zeros(1 << n)
+    elif kind == "integers":
+        values = rng.integers(-3, 4, 1 << n).astype(np.float64)
+    else:
+        values = rng.normal(size=1 << n) * (1e8 if kind == "scaled" else 1.0)
+    values[rng.random(1 << n) < 0.2] = 0.0
+    zeros = values == 0
+    values[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+    return ValueTable(n, values)
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 15),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "integers", "scaled", "zeros"]),
+)
+@example(15, 40, 0, "random")
+@example(15, 33, 1, "integers")
+@example(15, 40, 2, "scaled")
+def test_instances_scored_together_match_one_at_a_time(n, count, seed, kind):
+    # At n=15 a feature has 2^14 contexts, two Shapley dot runs, and a group
+    # holds 32 instances, so 33 to 40 instances make two groups.
+    rng = np.random.default_rng(seed)
+    space = new_sample_space(
+        [(float(rng.uniform(0.1, 2.0)), _instance_table(rng, n, kind)) for _ in range(count)]
+    )
+    expected = {m: np.zeros(n) for m in ALL_METHODS}
+    for w, t in space.instances:
+        vectors = score_vectors(ALL_METHODS, t)
+        for m in ALL_METHODS:
+            expected[m] += w * vectors[m].scores
+    got = sample_space._mean_scores(space, ALL_METHODS)
+    for m in ALL_METHODS:
+        assert _hex(got[m]) == _hex(expected[m])
+    # Each instance's own scores and witnesses. In an all-zero table every
+    # marginal is a signed zero, and MCI reads the sign of the first.
+    columns = _stack_scores(ALL_METHODS, np.stack([t.values for t in space.tables]), n)
+    for row, t in enumerate(space.tables):
+        for m, vector in score_vectors(ALL_METHODS, t).items():
+            scores, witnesses = columns[m]
+            assert _hex(scores[row]) == _hex(vector.scores)
+            assert witnesses is None or tuple(witnesses[row].tolist()) == vector.witnesses
