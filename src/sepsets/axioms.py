@@ -53,13 +53,12 @@ SYMMETRY_VARIANTS = ("z_empty", "z_pair")
 
 @dataclass(frozen=True)
 class Witness:
-    """Location of a violation: the subset/feature/instance involved,
-    plus the two sides of the defining comparison."""
+    """Location of a violation: the subset and features involved, plus the
+    two sides of the defining comparison."""
 
     subset: int | None = None
     feature: int | None = None
     feature_b: int | None = None
-    instance: int | None = None
     lhs: float | None = None
     rhs: float | None = None
 

@@ -390,3 +390,7 @@ def run_demo(args) -> int:
     ).hexdigest()
     _emit(args, f"demo {args.name}", digest, report.to_dict(), render_scenario_markdown(report))
     return _EXIT_OK
+
+
+if __name__ == "__main__":
+    console_main()

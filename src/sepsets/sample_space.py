@@ -1,9 +1,9 @@
 """Weighted collections of per-instance value tables.
 
-A sample space holds one value table per instance plus a probability
-weight, modelling importance that varies across a population. The
-global view is the weighted mean table. Two consistency notions
-connect the levels:
+A sample space holds a probability weight and a value table per
+instance, stacked as the rows of one array, modelling importance that
+varies across a population. The global view is the weighted mean
+table. Two consistency notions connect the levels:
 
 * value consistency: a claimed global table matches the weighted mean;
 * importance consistency: scoring the global table matches the
@@ -25,79 +25,79 @@ from .axioms import AxiomReport, _largest_gap, audit_table
 from .errors import DegenerateInputError, TableError
 from .importance import ScoreMethod, _stack_scores, score_vector
 from .subset_algebra import (
+    _NOT_FINITE,
     DEFAULT_TOL,
     Tolerance,
     ValueTable,
     check_feature_count,
     json_reals,
-    table_from_dict,
 )
 
-_WEIGHT_SUM_SLACK = 1e-12
-# Entries per stack of instance tables scored together (8 MB of float64).
+# Entries per group of rows of the stack scored together (8 MB of float64).
 _GROUP_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
 class SampleSpace:
-    """Instances of (weight, value table), weights normalized to sum 1."""
+    """Read-only float64 ``weights``, shape (k,), normalized to sum 1, and ``values``,
+    shape (k, 2^n), one instance's table per row; a float64 ``values`` is kept, not copied."""
 
     n: int
-    instances: tuple[tuple[float, ValueTable], ...]
+    weights: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.instances) < 1:
-            raise TableError("a sample space needs at least one instance")
-        weights = []
-        for i, (w, t) in enumerate(self.instances):
-            if not isinstance(t, ValueTable):
-                raise TableError(f"instance {i} is not a value table")
-            if t.n != self.n:
-                raise TableError(
-                    f"instance {i} has {t.n} features, expected {self.n}"
-                )
-            w = float(w)
-            if not np.isfinite(w) or w < 0:
+        check_feature_count(self.n)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
+        if not weights.size or weights.shape + (1 << self.n,) != values.shape:
+            shapes = f"{weights.shape} and {values.shape}"
+            raise TableError(f"expected k >= 1 weights and (k, {1 << self.n}) values, got {shapes}")
+        _check_finite(values)
+        for i, w in enumerate(weights.tolist()):
+            if not (math.isfinite(w) and w >= 0):
                 raise TableError(f"instance {i} has invalid weight {w!r}")
-            weights.append(w)
-        total = sum(weights)
-        if not math.isfinite(total):
-            # Weights near the float maximum: a power-of-two rescale brings the
-            # largest into [0.5, 1), so their sum is finite. It is left to this
-            # case because it rounds weights it pushes below the normal range.
-            shift = math.frexp(max(weights))[1]
-            weights = [math.ldexp(w, -shift) for w in weights]
-            total = sum(weights)
+        if not math.isfinite(total := sum(weights.tolist())):
+            # Weights near the float maximum: a power-of-two rescale makes their sum
+            # finite. Only this case takes it, as it rounds weights pushed below normal.
+            weights = np.ldexp(weights, -math.frexp(weights.max())[1])
+            total = sum(weights.tolist())
         if total <= 0:
             raise DegenerateInputError("instance weights must not all be zero")
-        normalized = tuple(
-            (w / total, t) for w, (_, t) in zip(weights, self.instances)
-        )
-        assert abs(sum(w for w, _ in normalized) - 1.0) <= _WEIGHT_SUM_SLACK
-        object.__setattr__(self, "instances", normalized)
+        weights = weights / total
+        assert abs(sum(weights.tolist()) - 1.0) <= len(weights) * 2.0**-52  # 2k roundings of 2^-53
+        for name, array in (("weights", weights), ("values", values)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.instances], dtype=np.float64)
 
-    @property
-    def tables(self) -> tuple[ValueTable, ...]:
-        return tuple(t for _, t in self.instances)
+def _check_finite(values: np.ndarray) -> None:
+    """Raise naming the first row of ``values`` that is not finite."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise TableError(f"instance {int(np.argmin(finite))}: {_NOT_FINITE}")
 
 
 def new_sample_space(pairs: Iterable[tuple[float, ValueTable]]) -> SampleSpace:
-    """Validating constructor; infers the feature count from the tables."""
+    """Validating constructor from (weight, table) pairs; infers the feature
+    count from the tables and stacks them once."""
     pairs = tuple(pairs)
     if not pairs:
         raise TableError("a sample space needs at least one instance")
-    return SampleSpace(pairs[0][1].n, pairs)
+    weights, tables = zip(*pairs)
+    for i, t in enumerate(tables):
+        if not isinstance(t, ValueTable):
+            raise TableError(f"instance {i} is not a value table")
+        if t.n != tables[0].n:
+            raise TableError(f"instance {i} has {t.n} features, expected {tables[0].n}")
+    return SampleSpace(tables[0].n, weights, np.stack([t.values for t in tables]))
 
 
 def global_table(space: SampleSpace) -> ValueTable:
     """Weighted mean of the instance tables, entry by entry."""
     acc = np.zeros(1 << space.n, dtype=np.float64)
-    for w, t in space.instances:
-        acc += w * t.values
+    for w, row in zip(space.weights.tolist(), space.values):
+        acc += w * row
     return ValueTable(space.n, acc)
 
 
@@ -116,18 +116,16 @@ def check_value_consistency(
 def _mean_scores(
     space: SampleSpace, methods: tuple[ScoreMethod, ...]
 ) -> dict[ScoreMethod, np.ndarray]:
-    """Weighted mean of the instance scores under each rule.
-
-    Instances are stacked in groups of at most ``_GROUP_ENTRIES`` table
-    entries, and each group is scored in one walk over the features. The
-    weighted scores are added in instance order."""
+    """Weighted mean of the instance scores under each rule, added in
+    instance order. Each group of rows, a view of at most ``_GROUP_ENTRIES``
+    entries, is scored in one walk over the features."""
     means = {m: np.zeros(space.n, dtype=np.float64) for m in methods}
     size = max(1, _GROUP_ENTRIES >> space.n)
-    for start in range(0, len(space.instances), size):
-        group = space.instances[start : start + size]
-        columns = _stack_scores(methods, np.stack([t.values for _, t in group]), space.n)
+    for start in range(0, len(space.weights), size):
+        group = slice(start, start + size)
+        columns = _stack_scores(methods, space.values[group], space.n)
         for m in methods:
-            for (w, _), scores in zip(group, columns[m][0]):
+            for w, scores in zip(space.weights[group].tolist(), columns[m][0]):
                 means[m] += w * scores
     return means
 
@@ -145,9 +143,8 @@ def audit_space(
     space: SampleSpace, methods: tuple[ScoreMethod, ...], tol: Tolerance = DEFAULT_TOL
 ) -> list[tuple[str, AxiomReport]]:
     """Value consistency, importance consistency per rule and :func:`audit_table`
-    of the global table, as labeled rows. The global table is built once,
-    and the instances are scored under every rule in one walk per group
-    (see :func:`_mean_scores`)."""
+    of the global table, as labeled rows. The global table is built once, and
+    the instances are scored under every rule as in :func:`_mean_scores`."""
     methods = tuple(methods)
     mean = global_table(space)
     means = _mean_scores(space, methods)
@@ -162,17 +159,12 @@ def audit_space(
 
 def space_to_dict(space: SampleSpace) -> dict:
     """JSON-ready form mirroring the on-disk sample-space format."""
-    return {
-        "n": space.n,
-        "instances": [
-            {"weight": w, "values": [float(x) for x in t.values]}
-            for w, t in space.instances
-        ],
-    }
+    rows = zip(space.weights.tolist(), space.values)
+    return {"n": space.n, "instances": [{"weight": w, "values": v.tolist()} for w, v in rows]}
 
 
 def space_from_dict(payload: dict) -> SampleSpace:
-    """Parse the dict form of :func:`space_to_dict`; each instance obeys the feature cap."""
+    """Parse the dict form of :func:`space_to_dict` into one (k, 2^n) array."""
     if not isinstance(payload, dict) or "n" not in payload or "instances" not in payload:
         raise TableError('a sample space needs keys "n" and "instances"')
     n = payload["n"]
@@ -184,11 +176,18 @@ def space_from_dict(payload: dict) -> SampleSpace:
         if not isinstance(row, dict) or "weight" not in row or "values" not in row:
             raise TableError(f'instance {i} needs keys "weight" and "values"')
     weights = json_reals([row["weight"] for row in rows], "weight")
-    tables = []
+    # No row past the first instance of the wrong length, which is refused.
+    fits = [isinstance(r["values"], (list, tuple)) and len(r["values"]) == 1 << n for r in rows]
+    values = np.empty(((fits + [False]).index(False), 1 << n))
     for i, row in enumerate(rows):
         try:
-            table = table_from_dict({"n": n, "values": row["values"]})
+            if not isinstance(row["values"], (list, tuple)):
+                raise TableError('"values" must be a list of reals in mask order')
+            cells = json_reals(row["values"], "value")
+            if cells.shape != (1 << n,):
+                raise TableError(f"expected {1 << n} values for n={n}, got shape {cells.shape}")
         except TableError as exc:
+            _check_finite(values[:i])  # an earlier instance that is not finite comes first
             raise TableError(f"instance {i}: {exc}") from None
-        tables.append(table)
-    return SampleSpace(n, tuple(zip(weights, tables)))
+        values[i] = cells
+    return SampleSpace(n, weights, values)

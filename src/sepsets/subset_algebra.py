@@ -119,10 +119,6 @@ def _adopt(cls: type, n: int, array: np.ndarray):
     return table
 
 
-def full_mask(n: int) -> int:
-    return (1 << n) - 1
-
-
 def mask_of(indices: Iterable[int], n: int) -> int:
     """Bitmask for a collection of feature indices, validated against n."""
     mask = 0

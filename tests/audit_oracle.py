@@ -10,7 +10,7 @@ byte.
 
 import numpy as np
 
-from sepsets import ScoreMethod, global_table, mobius_transform, score_vector
+from sepsets import ScoreMethod, ValueTable, global_table, mobius_transform, score_vector
 from sepsets.axioms import AxiomReport, Witness
 from sepsets.subset_algebra import _context_mask, _halves, _marginals, indices_of, popcount_table
 
@@ -194,8 +194,8 @@ def check_symmetry(table, v, variant, tol):
 def check_importance_consistency(space, method, tol):
     lhs = score_vector(method, global_table(space)).scores
     rhs = np.zeros(space.n, dtype=np.float64)
-    for w, t in space.instances:
-        rhs += w * score_vector(method, t).scores
+    for w, values in zip(space.weights, space.values):
+        rhs += w * score_vector(method, ValueTable(space.n, values)).scores
     return _gap_report("importance_consistency", lhs, rhs, tol)
 
 

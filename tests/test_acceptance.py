@@ -225,8 +225,8 @@ def test_criterion_05_grouped_scores_and_grouped_consistency():
         for method in ALL_METHODS:
             direct = grouped_score_vector(method, pooled, partition)
             averaged = sum(
-                w * grouped_score_vector(method, t, partition)
-                for w, t in zip(space.weights, space.tables)
+                w * grouped_score_vector(method, ValueTable(n, v), partition)
+                for w, v in zip(space.weights, space.values)
             )
             gap = float(np.max(np.abs(direct - averaged)))
             assert gap <= 1e-8, f"space {i}, {method.value}: grouped gap {gap}"
@@ -491,7 +491,10 @@ def _violation_case(seed):
 
     def replay_consistency(w):
         pooled = score(ScoreMethod.MCI, global_table(space), w.feature)
-        averaged = sum(wt * score(ScoreMethod.MCI, t, w.feature) for wt, t in space.instances)
+        averaged = sum(
+            wt * score(ScoreMethod.MCI, ValueTable(2, v), w.feature)
+            for wt, v in zip(space.weights, space.values)
+        )
         return abs(float(pooled - averaged))
 
     return check_importance_consistency(space, ScoreMethod.MCI, TOL), replay_consistency

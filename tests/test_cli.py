@@ -93,6 +93,24 @@ def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path, command):
     assert stdouts[0] == stdouts[1]
 
 
+@pytest.mark.parametrize("module", ["sepsets", "sepsets.cli"])
+def test_python_dash_m_runs_the_command(module):
+    env = {**os.environ, "PYTHONPATH": str(Path(sepsets.__file__).parents[1])}
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], env=env, capture_output=True, timeout=120
+        )
+
+    done = python_m("demo", "toy-separable")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / "demo-toy-separable.json.stdout").read_bytes()
+    done = python_m("demo", "no-such-demo")
+    assert (done.returncode, done.stdout) == (1, b"")
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_scores_json_envelope(capsys, toy_table_file):
     code, out, _ = run(capsys, ["scores", str(toy_table_file)])
     assert code == 0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from sepsets import (
     ALL_METHODS,
     DegenerateInputError,
+    SampleSpace,
     ScoreMethod,
     TableError,
     Tolerance,
@@ -26,6 +28,7 @@ from sepsets import (
 )
 
 from sepsets import sample_space
+from sepsets.cli import main
 from sepsets.importance import _stack_scores
 
 from conftest import random_table
@@ -56,6 +59,75 @@ def test_weights_are_their_share_of_the_sum_bit_for_bit(weights):
     else:
         # A sum past the float range is rescaled, not refused.
         assert abs(float(got.sum()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("count", [10**5, 3 * 10**5])
+def test_many_equal_weights_normalize(count):
+    # The k quotients and the k-term sum drift from 1 by more than 1e-12
+    # here, within the k * 2^-52 that their roundings allow.
+    space = new_sample_space([(1.0, ValueTable(1, [0.0, 1.0]))] * count)
+    assert np.all(space.weights == 1 / count)
+
+
+def test_audit_of_a_space_with_many_instances(capsys, tmp_path):
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"n": 1, "instances": [{"weight": 1, "values": [0, 1]}] * 10**5}))
+    assert main(["audit", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_space_arrays_are_read_only(rng):
+    space = new_sample_space([(1.0, random_table(rng, 2)), (3.0, random_table(rng, 2))])
+    assert space.weights.shape == (2,) and space.values.shape == (2, 4)
+    with pytest.raises(ValueError):
+        space.weights[0] = 0.5
+    with pytest.raises(ValueError):
+        space.values[0, 1] = 1.0
+
+
+def test_constructor_refuses_bad_shapes_and_values():
+    with pytest.raises(TableError, match="expected k >= 1 weights"):
+        SampleSpace(2, [1.0], np.zeros((1, 3)))
+    with pytest.raises(TableError, match="expected k >= 1 weights"):
+        SampleSpace(1, [], np.zeros((0, 2)))
+    with pytest.raises(TableError, match=r"^instance 1: value tables must be finite"):
+        SampleSpace(1, [1.0, 1.0], [[0.0, 1.0], [0.0, math.inf]])
+    with pytest.raises(TableError, match=r"^instance 1 has invalid weight -1\.0$"):
+        SampleSpace(1, [1.0, -1.0], np.zeros((2, 2)))
+
+
+def test_reader_names_an_earlier_instance_that_is_not_finite_first():
+    # json reads NaN; the earlier instance is reported, as instances are read in order.
+    rows = [{"weight": 1, "values": [0, math.nan]}, {"weight": 1, "values": [0, "x"]}]
+    with pytest.raises(TableError, match=r"^instance 0: value tables must be finite"):
+        space_from_dict({"n": 1, "instances": rows})
+
+
+def test_reader_holds_no_rows_past_an_instance_of_the_wrong_length():
+    payload = {"n": 20, "instances": [{"weight": 1, "values": [0.0]}] * 200}
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableError) as caught:
+            space_from_dict(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == "instance 0: expected 1048576 values for n=20, got shape (1,)"
+    assert peak < 1 << 20
+
+
+def test_mean_scores_read_the_stack_without_copying_it():
+    rng = np.random.default_rng(0)
+    space = SampleSpace(16, rng.uniform(0.1, 2.0, 64), rng.normal(size=(64, 1 << 16)))
+    tracemalloc.start()
+    try:
+        sample_space._mean_scores(space, ALL_METHODS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The stack is built before tracing starts. Scoring a group of 16 rows
+    # allocates about 8.4 MiB; a copy of the group would add 8 MiB more.
+    assert peak < 12 * 2**20
 
 
 def test_zero_total_weight_is_degenerate():
@@ -120,14 +192,14 @@ def test_max_rule_breaks_consistency_on_known_pair():
     assert report.witness.feature == 0
     # Replay the witness: pooled score vs pooled per-instance scores.
     pooled = score_vector(ScoreMethod.MCI, global_table(space)).scores[0]
-    per = [score_vector(ScoreMethod.MCI, t).scores[0] for t in space.tables]
+    per = [score_vector(ScoreMethod.MCI, ValueTable(2, v)).scores[0] for v in space.values]
     assert abs(pooled - 0.5 * sum(per)) == pytest.approx(0.5)
 
 
 def test_duplicate_space_is_trivially_consistent(rng):
     table = random_table(rng, 4)
     space = new_sample_space([(1.0, table)] * 5)
-    assert len(space.instances) == 5
+    assert len(space.weights) == 5
     for method in (ScoreMethod.MCI, ScoreMethod.SHAPLEY):
         assert check_importance_consistency(space, method, TOL).passed
 
@@ -139,8 +211,8 @@ def test_space_dict_roundtrip(rng):
     payload = space_to_dict(space)
     back = space_from_dict(json.loads(json.dumps(payload)))
     assert np.allclose(back.weights, space.weights)
-    for a, b in zip(back.tables, space.tables):
-        assert np.array_equal(a.values, b.values)
+    for a, b in zip(back.values, space.values):
+        assert np.array_equal(a, b)
 
 
 def _instance_table(rng, n, kind):
@@ -180,7 +252,8 @@ def test_instances_scored_together_match_one_at_a_time(n, count, seed, kind):
         [(float(rng.uniform(0.1, 2.0)), _instance_table(rng, n, kind)) for _ in range(count)]
     )
     expected = {m: np.zeros(n) for m in ALL_METHODS}
-    for w, t in space.instances:
+    tables = [ValueTable(n, v) for v in space.values]
+    for w, t in zip(space.weights, tables):
         vectors = score_vectors(ALL_METHODS, t)
         for m in ALL_METHODS:
             expected[m] += w * vectors[m].scores
@@ -189,8 +262,8 @@ def test_instances_scored_together_match_one_at_a_time(n, count, seed, kind):
         assert _hex(got[m]) == _hex(expected[m])
     # Each instance's own scores and witnesses. In an all-zero table every
     # marginal is a signed zero, and MCI reads the sign of the first.
-    columns = _stack_scores(ALL_METHODS, np.stack([t.values for t in space.tables]), n)
-    for row, t in enumerate(space.tables):
+    columns = _stack_scores(ALL_METHODS, space.values, n)
+    for row, t in enumerate(tables):
         for m, vector in score_vectors(ALL_METHODS, t).items():
             scores, witnesses = columns[m]
             assert _hex(scores[row]) == _hex(vector.scores)

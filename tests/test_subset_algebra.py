@@ -16,7 +16,6 @@ from sepsets import (
     Tolerance,
     ValueTable,
     eliminate,
-    full_mask,
     indices_of,
     mask_of,
     mix,
@@ -168,7 +167,6 @@ def test_eliminate_matches_gather_exactly(n, seed, drop):
 def test_mask_helpers_roundtrip():
     assert mask_of([0, 3], 5) == 0b01001
     assert indices_of(0b01001) == (0, 3)
-    assert full_mask(4) == 0b1111
     assert mask_of([], 3) == 0
     with pytest.raises(TableError):
         mask_of([5], 5)
