@@ -1,13 +1,13 @@
 """Input files, each read once into a value table or a sample space by
 ``read_input``, and table files, written by ``table_json``.
 
-A JSON value table of plain numbers is read in blocks by ``_block_table``,
-straight into one float64 array. orjson parses every other JSON document
-whole, and Python's json reads those orjson rejects or is not trusted
-with. orjson reads a CSV body of plain numbers in blocks of lines, and
-the csv module's row walk reads every other CSV file. Each fast path
-declines what it might read otherwise, so every value and every error
-line is the reference parser's.
+A JSON value table of plain numbers is checked in one byte pass and read
+in blocks by ``_block_table``, straight into one float64 array. orjson
+parses every other JSON document whole, and Python's json reads those
+orjson rejects or is not trusted with. orjson reads a CSV body of plain
+numbers in blocks of lines, and the csv module's row walk reads every
+other CSV file. Each fast path declines what it might read otherwise,
+so every value and every error line is the reference parser's.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import re
+import struct
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -163,38 +164,46 @@ _JSON_NUMBER_BYTES = b"0123456789+-.eE, \t\r\n"
 # holds every value as a Python float at once: 32 MB more at peak.
 _BLOCK_VALUES = 1 << 14
 
+# Bytes per translate call in the scan for the skeleton: one call on a
+# whole file copies it. A sample space is declined within its first piece.
+_SCAN_BYTES = 1 << 16
+
 
 def _block_table(raw: bytes) -> ValueTable | None:
     """The value table in ``raw``, read by orjson in blocks of about
     ``_BLOCK_VALUES`` values straight into one float64 array; None where
     the whole-document parse must decide.
 
-    ``raw`` must hold one "[", one "]" and one "values" key. orjson
-    parses the shell, ``raw`` with the list's body cut out: an object
-    whose "values" is that empty list and whose "n" passes the feature
-    cap. The body is cut at commas into blocks, each read as
-    ``[block]``. A block of number bytes that orjson reads to a nonempty
-    list lies between two commas that separate values, so the blocks
-    hold the values of the whole list. Any other body, a count other
-    than 2^n, or a value that is not finite goes to the whole parse, so
-    every value and every error line is still that parse's.
+    One pass deletes the number bytes. What is left, the skeleton, must
+    hold one "[" and one "]", next to each other, so the list's body is
+    all number bytes. orjson parses the shell, ``raw`` with that body cut
+    out: an object with one "values" key, whose value is that empty list,
+    and whose "n" passes the feature cap. The body is cut at commas into
+    blocks, each read as ``[block]`` and packed as doubles. A block of
+    number bytes that orjson reads to a nonempty list lies between two
+    commas that separate values, so the blocks hold the whole list. Any
+    other document, a count other than 2^n, or a value that is not finite
+    goes to the whole parse, so every value and error line is its own.
     """
-    start, end = raw.find(b"["), raw.find(b"]")
-    if not 0 <= start < end or raw.find(b"[", start + 1) >= 0 or raw.find(b"]", end + 1) >= 0:
+    pieces, brackets = [], 0
+    for at in range(0, len(raw), _SCAN_BYTES):
+        pieces.append(raw[at : at + _SCAN_BYTES].translate(None, _JSON_NUMBER_BYTES))
+        brackets += pieces[-1].count(b"[") + pieces[-1].count(b"]")
+        if brackets > 2:
+            return None
+    if brackets != 2 or b"[]" not in b"".join(pieces):
         return None
+    start, end = raw.find(b"["), raw.rfind(b"]")
     shell = raw[: start + 1] + raw[end:]
     if shell.count(b'"values"') != 1 or not _few_openers(shell):
         return None
     try:
         payload = orjson.loads(shell)
-    except orjson.JSONDecodeError:
-        return None
-    if not isinstance(payload, dict) or payload.get("values") != []:
-        return None
-    n = payload.get("n")
-    try:
+        if not isinstance(payload, dict) or payload.get("values") != []:
+            return None
+        n = payload.get("n")
         check_feature_count(n)
-    except SepsetsError:
+    except ValueError:  # a JSONDecodeError, or no feature count within the cap
         return None
     values = np.empty(1 << n)
     # Bytes per block, for blocks of about _BLOCK_VALUES values.
@@ -203,19 +212,16 @@ def _block_table(raw: bytes) -> ValueTable | None:
     while start < end:
         cut = raw.find(b",", start + step, end)
         cut = end if cut < 0 else cut
-        # The comma or "[" before the block and the comma or "]" after it
-        # become its brackets.
-        block = bytearray(view[start : cut + 1])
-        block[0], block[-1] = ord("["), ord("]")
-        if block.translate(None, _JSON_NUMBER_BYTES) != b"[]":
-            return None
         try:
-            items = orjson.loads(block)
-        except orjson.JSONDecodeError:
+            # The bytes between the comma or "[" before the block and the
+            # comma or "]" after it.
+            items = orjson.loads(b"".join((b"[", view[start + 1 : cut], b"]")))
+            # A struct.error: past the end of the array, or not a float.
+            struct.pack_into(f"{len(items)}d", values, 8 * filled, *items)
+        except (ValueError, struct.error):
             return None
-        if not items or filled + len(items) > values.size:
+        if not items:
             return None
-        values[filled : filled + len(items)] = np.fromiter(items, np.float64, len(items))
         filled += len(items)
         start = cut
     if filled != values.size or not np.all(np.isfinite(values)):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 import reprlib
+import struct
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -206,11 +207,17 @@ def _marginals(values: np.ndarray, n: int, f: int) -> np.ndarray:
     last axis; leading axes, a stack of tables, are kept.
 
     Entry c belongs to the context ``_context_mask(c, f)``, so the
-    contexts run in ascending mask order.
+    contexts run in ascending mask order. Bits below 3 are walked through
+    the transposed runs, as in ``_subset_transform``.
     """
     lead = values.shape[:-1]
     runs = values.reshape(lead + (1 << (n - 1 - f), 2, 1 << f))
-    return (runs[..., 1, :] - runs[..., 0, :]).reshape(lead + (-1,))
+    out = np.empty(lead + (1 << (n - 1 - f), 1 << f))
+    lo, hi, diff = runs[..., 0, :], runs[..., 1, :], out
+    if f < 3:
+        lo, hi, diff = lo.swapaxes(-1, -2), hi.swapaxes(-1, -2), out.swapaxes(-1, -2)
+    np.subtract(hi, lo, out=diff, order="C")
+    return out.reshape(lead + (-1,))
 
 
 def _context_mask(index, f):
@@ -272,6 +279,11 @@ def table_to_dict(table: ValueTable) -> dict:
     return {"n": table.n, "values": [float(v) for v in table.values]}
 
 
+# Values per struct call in json_reals. Each call takes its run as
+# arguments, so one call on a 2^20-value list would build an 8 MB tuple.
+_PACK_RUN = 1 << 14
+
+
 def json_reals(items: list, what: str) -> np.ndarray:
     """JSON numbers as float64; a string, object, array, null or boolean is an error."""
 
@@ -282,10 +294,14 @@ def json_reals(items: list, what: str) -> np.ndarray:
     if not all(map(real, set(map(type, items)))):
         at = next(i for i, x in enumerate(items) if not real(type(x)))
         raise TableError(f"{what} at index {at} must be a number, got {reprlib.repr(items[at])}")
+    reals = np.empty(len(items))
     try:
-        return np.asarray(items, dtype=np.float64)
-    except OverflowError:
+        for at in range(0, len(items), _PACK_RUN):
+            run = items[at : at + _PACK_RUN]
+            struct.pack_into(f"{len(run)}d", reals, 8 * at, *run)
+    except struct.error:  # an integer past the float range
         raise TableError(f"every {what} must lie within the float range") from None
+    return reals
 
 
 def table_from_dict(payload: dict) -> ValueTable:

@@ -1002,6 +1002,16 @@ _DECLINED = {
     "float-n": '{"n": 2.0, "values": [0, 0, 0, 0]}',
     "over-cap": '{"n": 21, "values": [0, 0, 0, 0]}',
     "bare-list": "[0, 0, 0, 0]",
+    # The scan for the skeleton: brackets in strings of the shell, a "]"
+    # before the "[", a second list, "values" not holding the list, and a
+    # boolean, which would pack as a float, in the first or the last block.
+    "open-bracket-in-a-string-before": '{"note": "[", "n": 2, "values": [0, 0, 0, 0]}',
+    "close-bracket-in-a-string-before": '{"note": "]", "n": 2, "values": [0, 0, 0, 0]}',
+    "close-before-open": '{"n": 2, "note": "]", "values": "[0, 0, 0, 0"}',
+    "second-array-before": '{"blocks": [0], "n": 2, "values": [0, 0, 0, 0]}',
+    "list-inside-values": '{"n": 2, "values": {"x": [0, 0, 0, 0]}}',
+    "true-in-the-first-block": _LAYOUTS["compact"](4, ["true"] + ["0"] * 15),
+    "false-in-the-last-block": _LAYOUTS["compact"](4, ["0"] * 15 + ["false"]),
 }
 
 
@@ -1012,6 +1022,51 @@ def test_block_reader_declines_what_it_might_read_otherwise(monkeypatch, name, b
     raw = _DECLINED[name].encode()
     assert inputs._block_table(raw) is None
     assert _table_read(raw) == _whole_read(raw, monkeypatch)
+
+
+@pytest.mark.parametrize("scan_bytes", [1, 2, 7])
+def test_the_skeleton_scan_decides_alike_in_pieces_of_any_size(monkeypatch, scan_bytes):
+    monkeypatch.setattr(inputs, "_BLOCK_VALUES", 1)
+    monkeypatch.setattr(inputs, "_SCAN_BYTES", scan_bytes)
+    for layout in _LAYOUTS.values():
+        raw = layout(4, _EDGE_CELLS).encode()
+        assert inputs._block_table(raw) is not None
+        assert _table_read(raw) == _whole_read(raw, monkeypatch)
+    for text in _DECLINED.values():
+        raw = text.encode()
+        assert inputs._block_table(raw) is None
+        assert _table_read(raw) == _whole_read(raw, monkeypatch)
+
+
+# Integer and float zeros of both signs, an odd integer past 2^53, the
+# largest unsigned 64-bit integer and the ends of the float range.
+_PACKED_CELLS = [
+    "0", "-0", "0.0", "-0.0", str(2**53 + 1), str(2**64 - 1), "5e-324",
+    "1.7976931348623157e308", "-1.7976931348623157e308",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.sampled_from(_PACKED_CELLS)
+            | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+            | st.integers(-(2**200), 2**200).map(str),
+            min_size=1 << n,
+            max_size=1 << n,
+        )
+    )
+)
+def test_packed_values_hold_the_bits_numpy_converts_to(cells):
+    n = len(cells).bit_length() - 1
+    raw = _LAYOUTS["compact"](n, cells).encode()
+    items = json.loads(raw)["values"]
+    want = np.asarray(items, np.float64).tobytes()
+    assert inputs._block_table(raw).values.tobytes() == want
+    assert sepsets.table_from_dict({"n": n, "values": items}).values.tobytes() == want
+    space = sepsets.space_from_dict({"n": n, "instances": [{"weight": 1, "values": items}]})
+    assert space.values[0].tobytes() == want
 
 
 @pytest.mark.parametrize("n", [15, 16])

@@ -24,7 +24,7 @@ from sepsets import (
     table_to_dict,
     zeta_transform,
 )
-from sepsets.subset_algebra import popcount_table
+from sepsets.subset_algebra import _marginals, popcount_table
 
 from conftest import random_table
 from exact import mobius_exact
@@ -270,3 +270,16 @@ def test_table_from_dict_validates():
         table_from_dict({"n": 2})
     with pytest.raises(TableError):
         table_from_dict({"n": 2, "values": [0.0, 1.0]})
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 16])
+def test_marginals_are_the_plain_difference_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for shape in [(1 << n,), (3, 1 << n)]:
+        values = rng.normal(size=shape)
+        values[..., ::5] = -0.0
+        lead = shape[:-1]
+        for f in range(n):
+            runs = values.reshape(lead + (1 << (n - 1 - f), 2, 1 << f))
+            plain = (runs[..., 1, :] - runs[..., 0, :]).reshape(lead + (-1,))
+            assert _marginals(values, n, f).tobytes() == plain.tobytes()
