@@ -23,13 +23,12 @@ from . import __version__
 from .axioms import audit_table, report_rows_markdown
 from .errors import SepsetsError, TableError
 from .importance import ALL_METHODS, ScoreMethod, score_vectors
-from .inputs import _UsageError, read_input, table_json
+from .inputs import _UsageError, partition_to_dict, read_input, table_json
 from .sample_space import audit_space
 from .separability import (
     ORACLE_MAX_FEATURES,
     maximal_partition_oracle,
     maximal_partition_reports,
-    partition_to_dict,
 )
 from .scenarios import (
     ColliderParams,

@@ -1,13 +1,17 @@
-"""Input files, each read once into a value table or a sample space by
-``read_input``, and table files, written by ``table_json``.
+"""Every file format of sepsets. ``read_input`` reads each input file
+once into a value table or a sample space; the dict forms of a value
+table, a sample space and a partition are what their JSON files hold;
+``table_json`` writes table files.
 
 A JSON value table of plain numbers is checked in one byte pass and read
 in blocks by ``_block_table``, straight into one float64 array. orjson
 parses every other JSON document whole, and Python's json reads those
-orjson rejects or is not trusted with. orjson reads a CSV body of plain
-numbers in blocks of lines, and the csv module's row walk reads every
-other CSV file. Each fast path declines what it might read otherwise,
-so every value and every error line is the reference parser's.
+orjson rejects or is not trusted with. ``_json_reals`` packs the parsed
+numbers into the array that keeps them: a table's own array, or an
+instance's row of a sample space's stack. orjson reads a CSV body of
+plain numbers in blocks of lines, and the csv module's row walk reads
+every other CSV file. Each fast path declines what it might read
+otherwise, so every value and every error line is the reference parser's.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ import hashlib
 import io
 import itertools
 import json
+import numbers
 import re
+import reprlib
 import struct
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -26,9 +32,10 @@ import numpy as np
 import orjson
 
 from .dataset_eval import new_dataset, r2_value_table
-from .errors import SepsetsError, TableError
-from .sample_space import SampleSpace, space_from_dict
-from .subset_algebra import ValueTable, _adopt, check_feature_count, table_from_dict
+from .errors import PartitionError, SepsetsError, TableError
+from .sample_space import SampleSpace, _check_finite
+from .separability import Partition
+from .subset_algebra import ValueTable, _adopt, _check_table_array, check_feature_count
 
 
 class _UsageError(SepsetsError):
@@ -160,8 +167,10 @@ def _read_json(
 # of JSON numbers, the comma and the blanks and line ends JSON allows.
 _JSON_NUMBER_BYTES = b"0123456789+-.eE, \t\r\n"
 
-# Values per orjson call on a table body. One call on a whole 2^20 body
-# holds every value as a Python float at once: 32 MB more at peak.
+# Values per orjson call on a table body, and per struct call in
+# _json_reals. One call on a whole 2^20 body holds every value as a
+# Python float at once, 32 MB more at peak, and one struct call takes
+# its values as one tuple of arguments.
 _BLOCK_VALUES = 1 << 14
 
 # Bytes per translate call in the scan for the skeleton: one call on a
@@ -227,6 +236,102 @@ def _block_table(raw: bytes) -> ValueTable | None:
     if filled != values.size or not np.all(np.isfinite(values)):
         return None
     return _adopt(ValueTable, n, values)
+
+
+def table_to_dict(table: ValueTable) -> dict:
+    """JSON-ready form: ``{"n": ..., "values": [...]}`` in mask order."""
+    return {"n": table.n, "values": [float(v) for v in table.values]}
+
+
+def _json_reals(items: list, what: str, out: np.ndarray) -> np.ndarray:
+    """``out``, a float64 array of ``len(items)`` entries, with the JSON numbers
+    ``items`` packed into it; a string, object, array, null or boolean is an error."""
+
+    def real(kind: type) -> bool:
+        return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+    # One check per distinct element type keeps this cheap on 2^20 values.
+    if not all(map(real, set(map(type, items)))):
+        at = next(i for i, x in enumerate(items) if not real(type(x)))
+        raise TableError(f"{what} at index {at} must be a number, got {reprlib.repr(items[at])}")
+    try:
+        for at in range(0, len(items), _BLOCK_VALUES):
+            run = items[at : at + _BLOCK_VALUES]
+            struct.pack_into(f"{len(run)}d", out, 8 * at, *run)
+    except struct.error:  # an integer past the float range
+        raise TableError(f"every {what} must lie within the float range") from None
+    return out
+
+
+def table_from_dict(payload: dict) -> ValueTable:
+    """Parse the dict form produced by :func:`table_to_dict` into the table's own array."""
+    if not isinstance(payload, dict) or "n" not in payload or "values" not in payload:
+        raise TableError('a value table needs keys "n" and "values"')
+    n = payload["n"]
+    check_feature_count(n)
+    items = payload["values"]
+    if not isinstance(items, (list, tuple)):
+        raise TableError('"values" must be a list of reals in mask order')
+    values = _json_reals(items, "value", np.empty(len(items)))
+    return _adopt(ValueTable, n, _check_table_array(values, n))
+
+
+def space_to_dict(space: SampleSpace) -> dict:
+    """JSON-ready form mirroring the on-disk sample-space format."""
+    rows = zip(space.weights.tolist(), space.values)
+    return {"n": space.n, "instances": [{"weight": w, "values": v.tolist()} for w, v in rows]}
+
+
+def space_from_dict(payload: dict) -> SampleSpace:
+    """Parse the dict form of :func:`space_to_dict`, each instance packed
+    straight into its row of one (k, 2^n) array."""
+    if not isinstance(payload, dict) or "n" not in payload or "instances" not in payload:
+        raise TableError('a sample space needs keys "n" and "instances"')
+    n = payload["n"]
+    check_feature_count(n)
+    rows = payload["instances"]
+    if not isinstance(rows, list) or not rows:
+        raise TableError('"instances" must be a nonempty list')
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or "weight" not in row or "values" not in row:
+            raise TableError(f'instance {i} needs keys "weight" and "values"')
+    weights = _json_reals([row["weight"] for row in rows], "weight", np.empty(len(rows)))
+    # No row past the first instance of the wrong length, which is refused.
+    fits = [isinstance(r["values"], (list, tuple)) and len(r["values"]) == 1 << n for r in rows]
+    values = np.empty(((fits + [False]).index(False), 1 << n))
+    for i, row in enumerate(rows):
+        cells = row["values"]
+        try:
+            if not isinstance(cells, (list, tuple)):
+                raise TableError('"values" must be a list of reals in mask order')
+            # An instance of the wrong length is packed apart: its type and range errors come first.
+            _json_reals(cells, "value", values[i] if i < len(values) else np.empty(len(cells)))
+            if i == len(values):
+                raise TableError(f"expected {1 << n} values for n={n}, got shape {(len(cells),)}")
+        except TableError as exc:
+            _check_finite(values[:i])  # an earlier instance that is not finite comes first
+            raise TableError(f"instance {i}: {exc}") from None
+    return SampleSpace(n, weights, values)
+
+
+def partition_to_dict(partition: Partition) -> dict:
+    """JSON-ready form: blocks as ascending index lists, canonical order."""
+    return {"n": partition.n, "blocks": [list(b) for b in partition.block_indices()]}
+
+
+def partition_from_dict(payload: dict) -> Partition:
+    if not isinstance(payload, dict) or "n" not in payload or "blocks" not in payload:
+        raise PartitionError('a partition needs keys "n" and "blocks"')
+    n = payload["n"]
+    check_feature_count(n)
+    blocks = payload["blocks"]
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+        raise PartitionError('"blocks" must be a list of index lists')
+    for k, block in enumerate(blocks):
+        for i in block:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise PartitionError(f"block {k}: feature index {i!r} is not an integer")
+    return Partition.from_indices(n, blocks)
 
 
 def _sniff(payload: dict) -> str:

@@ -17,21 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .axioms import AxiomReport, _largest_gap, audit_table
 from .errors import DegenerateInputError, TableError
 from .importance import ScoreMethod, _stack_scores, score_vector
-from .subset_algebra import (
-    _NOT_FINITE,
-    DEFAULT_TOL,
-    Tolerance,
-    ValueTable,
-    check_feature_count,
-    json_reals,
-)
+from .subset_algebra import _NOT_FINITE, DEFAULT_TOL, Tolerance, ValueTable, check_feature_count
 
 # Entries per group of rows of the stack scored together (8 MB of float64).
 _GROUP_ENTRIES = 1 << 20
@@ -124,9 +117,10 @@ def _mean_scores(
     for start in range(0, len(space.weights), size):
         group = slice(start, start + size)
         columns = _stack_scores(methods, space.values[group], space.n)
+        weights = space.weights[group, None]
         for m in methods:
-            for w, scores in zip(space.weights[group].tolist(), columns[m][0]):
-                means[m] += w * scores
+            # One row at a time down the column, as a loop over the instances adds them.
+            means[m] = np.cumsum(np.vstack((means[m], weights * columns[m][0])), axis=0)[-1]
     return means
 
 
@@ -155,39 +149,3 @@ def audit_space(
         gap = _largest_gap("importance_consistency", vectors[m].scores, means[m], tol)
         rows.append((f"importance_consistency[{m.value}]", gap))
     return rows + table_rows
-
-
-def space_to_dict(space: SampleSpace) -> dict:
-    """JSON-ready form mirroring the on-disk sample-space format."""
-    rows = zip(space.weights.tolist(), space.values)
-    return {"n": space.n, "instances": [{"weight": w, "values": v.tolist()} for w, v in rows]}
-
-
-def space_from_dict(payload: dict) -> SampleSpace:
-    """Parse the dict form of :func:`space_to_dict` into one (k, 2^n) array."""
-    if not isinstance(payload, dict) or "n" not in payload or "instances" not in payload:
-        raise TableError('a sample space needs keys "n" and "instances"')
-    n = payload["n"]
-    check_feature_count(n)
-    rows: Sequence = payload["instances"]
-    if not isinstance(rows, list) or not rows:
-        raise TableError('"instances" must be a nonempty list')
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict) or "weight" not in row or "values" not in row:
-            raise TableError(f'instance {i} needs keys "weight" and "values"')
-    weights = json_reals([row["weight"] for row in rows], "weight")
-    # No row past the first instance of the wrong length, which is refused.
-    fits = [isinstance(r["values"], (list, tuple)) and len(r["values"]) == 1 << n for r in rows]
-    values = np.empty(((fits + [False]).index(False), 1 << n))
-    for i, row in enumerate(rows):
-        try:
-            if not isinstance(row["values"], (list, tuple)):
-                raise TableError('"values" must be a list of reals in mask order')
-            cells = json_reals(row["values"], "value")
-            if cells.shape != (1 << n,):
-                raise TableError(f"expected {1 << n} values for n={n}, got shape {cells.shape}")
-        except TableError as exc:
-            _check_finite(values[:i])  # an earlier instance that is not finite comes first
-            raise TableError(f"instance {i}: {exc}") from None
-        values[i] = cells
-    return SampleSpace(n, weights, values)

@@ -31,7 +31,6 @@ from .subset_algebra import (
     Tolerance,
     ValueTable,
     _pinned,
-    check_feature_count,
     indices_of,
     mask_of,
     mobius_transform,
@@ -263,26 +262,3 @@ def induced_meta_table(
             f"internal inconsistency: block-sum table drifts {drift} from union values"
         )
     return ValueTable(k, meta)
-
-
-def partition_to_dict(partition: Partition) -> dict:
-    """JSON-ready form: blocks as ascending index lists, canonical order."""
-    return {
-        "n": partition.n,
-        "blocks": [list(block) for block in partition.block_indices()],
-    }
-
-
-def partition_from_dict(payload: dict) -> Partition:
-    if not isinstance(payload, dict) or "n" not in payload or "blocks" not in payload:
-        raise PartitionError('a partition needs keys "n" and "blocks"')
-    n = payload["n"]
-    check_feature_count(n)
-    blocks = payload["blocks"]
-    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
-        raise PartitionError('"blocks" must be a list of index lists')
-    for k, block in enumerate(blocks):
-        for i in block:
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise PartitionError(f"block {k}: feature index {i!r} is not an integer")
-    return Partition.from_indices(n, blocks)

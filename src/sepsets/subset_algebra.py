@@ -16,9 +16,6 @@ same pass with a maximum in place of the sum gives subset maxima.
 from __future__ import annotations
 
 import dataclasses
-import numbers
-import reprlib
-import struct
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -56,13 +53,17 @@ DEFAULT_TOL = Tolerance()
 _NOT_FINITE = "value tables must be finite (no NaN or infinity)"
 
 
-def _as_table_array(values: Iterable[float] | np.ndarray, n: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+def _check_table_array(arr: np.ndarray, n: int) -> np.ndarray:
+    """``arr``, once it has passed the shape and finiteness checks for n features."""
     if arr.ndim != 1 or arr.shape[0] != (1 << n):
         raise TableError(f"expected {1 << n} values for n={n}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise TableError(_NOT_FINITE)
-    arr = arr.copy()
+    return arr
+
+
+def _as_table_array(values: Iterable[float] | np.ndarray, n: int) -> np.ndarray:
+    arr = _check_table_array(np.asarray(values, dtype=np.float64), n).copy()
     arr.setflags(write=False)
     return arr
 
@@ -272,45 +273,3 @@ def mix(first: ValueTable, second: ValueTable, alpha: float) -> ValueTable:
     if not (0.0 <= alpha <= 1.0):
         raise TableError(f"mixture weight must lie in [0, 1], got {alpha!r}")
     return ValueTable(first.n, alpha * first.values + (1.0 - alpha) * second.values)
-
-
-def table_to_dict(table: ValueTable) -> dict:
-    """JSON-ready form: ``{"n": ..., "values": [...]}`` in mask order."""
-    return {"n": table.n, "values": [float(v) for v in table.values]}
-
-
-# Values per struct call in json_reals. Each call takes its run as
-# arguments, so one call on a 2^20-value list would build an 8 MB tuple.
-_PACK_RUN = 1 << 14
-
-
-def json_reals(items: list, what: str) -> np.ndarray:
-    """JSON numbers as float64; a string, object, array, null or boolean is an error."""
-
-    def real(kind: type) -> bool:
-        return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
-
-    # One check per distinct element type keeps this cheap on 2^20 values.
-    if not all(map(real, set(map(type, items)))):
-        at = next(i for i, x in enumerate(items) if not real(type(x)))
-        raise TableError(f"{what} at index {at} must be a number, got {reprlib.repr(items[at])}")
-    reals = np.empty(len(items))
-    try:
-        for at in range(0, len(items), _PACK_RUN):
-            run = items[at : at + _PACK_RUN]
-            struct.pack_into(f"{len(run)}d", reals, 8 * at, *run)
-    except struct.error:  # an integer past the float range
-        raise TableError(f"every {what} must lie within the float range") from None
-    return reals
-
-
-def table_from_dict(payload: dict) -> ValueTable:
-    """Parse the dict form produced by :func:`table_to_dict`."""
-    if not isinstance(payload, dict) or "n" not in payload or "values" not in payload:
-        raise TableError('a value table needs keys "n" and "values"')
-    n = payload["n"]
-    check_feature_count(n)
-    values = payload["values"]
-    if not isinstance(values, (list, tuple)):
-        raise TableError('"values" must be a list of reals in mask order')
-    return ValueTable(n, json_reals(values, "value"))

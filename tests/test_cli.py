@@ -1067,6 +1067,11 @@ def test_packed_values_hold_the_bits_numpy_converts_to(cells):
     assert sepsets.table_from_dict({"n": n, "values": items}).values.tobytes() == want
     space = sepsets.space_from_dict({"n": n, "instances": [{"weight": 1, "values": items}]})
     assert space.values[0].tobytes() == want
+    # Many instances, each packed in place into its row of the stack.
+    rows = [items[k:] + items[:k] for k in range(5)]
+    payload = {"n": n, "instances": [{"weight": k, "values": r} for k, r in enumerate(rows)]}
+    space = sepsets.space_from_dict(payload)
+    assert space.values.tobytes() == np.asarray(rows, np.float64).tobytes()
 
 
 @pytest.mark.parametrize("n", [15, 16])
@@ -1133,6 +1138,20 @@ def test_reading_a_table_holds_under_two_tables_beyond_the_file(tmp_path):
         tracemalloc.stop()
     assert loaded.values.tobytes() == values.tobytes()
     assert peak - path.stat().st_size < 2 * (8 << n)
+
+
+def test_a_table_from_its_dict_form_is_packed_into_its_own_array():
+    n = 18
+    payload = {"n": n, "values": np.random.default_rng(0).normal(size=1 << n).tolist()}
+    tracemalloc.start()
+    try:
+        table = sepsets.table_from_dict(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.values.tobytes() == np.asarray(payload["values"]).tobytes()
+    # One table and a block of packing arguments; a second copy would be 2x.
+    assert peak < 1.25 * (8 << n)
 
 
 # Finite, but its dividend at {0, 1} is -1e308 - 2e308.

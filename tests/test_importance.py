@@ -21,11 +21,13 @@ from sepsets import (
     mix,
     score,
     score_vector,
+    score_vectors,
     shapley_weights,
 )
 from sepsets.subset_algebra import popcount_table
 
 from conftest import random_table, seeded_table
+from exact import linear_scores_exact
 
 
 def shapley_by_permutations(table, f):
@@ -267,3 +269,60 @@ def test_linearity_violation_for_max_rule():
     )
     assert np.allclose(mean_of_scores, [1.0, 1.5])
     assert report.witness.rhs == 1.0
+
+
+_LINEAR = (ScoreMethod.BIVARIATE, ScoreMethod.ABLATION, ScoreMethod.SHAPLEY)
+_U = Fraction(2**-53)
+_EXACT_CHECK = st.tuples(
+    st.sampled_from(["random", "small-integer"]),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=-3, max_value=11),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def _scaled_table(kind, n, k, seed):
+    """A random or small-integer table of 2^n values, times 10^k."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        values = rng.normal(size=1 << n)
+    else:
+        values = rng.integers(-3, 4, 1 << n).astype(np.float64)
+    return values * 10.0**k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_EXACT_CHECK)
+def test_bivariate_and_ablation_scores_are_the_exact_ones_rounded_at_most_once(case):
+    # Bivariate reads a stored entry, so it is exact. Ablation subtracts two
+    # stored entries, one rounding: within u·|exact|, with u = 2^-53.
+    values = _scaled_table(*case)
+    vectors = score_vectors(_LINEAR, ValueTable(case[1], values))
+    exact = linear_scores_exact(values)
+    bivariate = vectors[ScoreMethod.BIVARIATE].scores.tolist()
+    assert [Fraction(x) for x in bivariate] == exact["bivariate"]
+    for got, want in zip(vectors[ScoreMethod.ABLATION].scores.tolist(), exact["ablation"]):
+        assert abs(Fraction(got) - want) <= _U * abs(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_EXACT_CHECK)
+def test_shapley_within_its_rounding_bound_of_the_exact_dividend_shares(case):
+    # Shapley sums m = 2^(n-1) terms w_c·(v(c ∪ f) - v(c)) over the contexts
+    # c of f. Each weight and each marginal is rounded once, and so is each
+    # product: within γ_3 of its exact term. Summing the m terms in any
+    # order adds γ_(m-1) of the sum of their magnitudes. So the score lies
+    # within γ_(m+2) <= 2·(m + 2)·u of Σ_c w_c·|v(c ∪ f) - v(c)| of the
+    # exact score, the sum of d(W)/|W| over the W that contain f.
+    n = case[1]
+    values = _scaled_table(*case)
+    got = score_vectors(_LINEAR, ValueTable(n, values))[ScoreMethod.SHAPLEY].scores.tolist()
+    stored = [Fraction(v) for v in values.tolist()]
+    weights = [Fraction(factorial(k) * factorial(n - 1 - k), factorial(n)) for k in range(n)]
+    m = 1 << (n - 1)
+    for f, want in enumerate(linear_scores_exact(values)["shapley"]):
+        contexts = [c for c in range(1 << n) if not c >> f & 1]
+        spread = sum(
+            weights[bin(c).count("1")] * abs(stored[c | 1 << f] - stored[c]) for c in contexts
+        )
+        assert abs(Fraction(got[f]) - want) <= 2 * (m + 2) * _U * spread, f

@@ -239,18 +239,23 @@ def _hex(values):
     st.integers(1, 15),
     st.integers(1, 40),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["random", "integers", "scaled", "zeros"]),
+    st.sampled_from(["random", "integers", "scaled", "zeros", "zero-weights"]),
 )
 @example(15, 40, 0, "random")
 @example(15, 33, 1, "integers")
 @example(15, 40, 2, "scaled")
+@example(3, 6, 0, "zeros")
+@example(3, 7, 0, "zero-weights")
 def test_instances_scored_together_match_one_at_a_time(n, count, seed, kind):
     # At n=15 a feature has 2^14 contexts, two Shapley dot runs, and a group
-    # holds 32 instances, so 33 to 40 instances make two groups.
+    # holds 32 instances, so 33 to 40 instances make two groups. All-zero
+    # tables give score rows of -0.0; "zero-weights" weighs every instance
+    # at an odd index 0 and scores random tables.
     rng = np.random.default_rng(seed)
-    space = new_sample_space(
-        [(float(rng.uniform(0.1, 2.0)), _instance_table(rng, n, kind)) for _ in range(count)]
-    )
+    pairs = [(float(rng.uniform(0.1, 2.0)), _instance_table(rng, n, kind)) for _ in range(count)]
+    if kind == "zero-weights":
+        pairs = [(w * (i % 2 == 0), t) for i, (w, t) in enumerate(pairs)]
+    space = new_sample_space(pairs)
     expected = {m: np.zeros(n) for m in ALL_METHODS}
     tables = [ValueTable(n, v) for v in space.values]
     for w, t in zip(space.weights, tables):

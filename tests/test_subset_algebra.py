@@ -27,7 +27,7 @@ from sepsets import (
 from sepsets.subset_algebra import _marginals, popcount_table
 
 from conftest import random_table
-from exact import mobius_exact
+from exact import mobius_exact, zeta_exact
 
 
 def mobius_by_inclusion_exclusion(values, n):
@@ -108,6 +108,24 @@ def test_mobius_within_the_rounding_bound_of_the_exact_dividends(kind, n, k, see
     zeta_abs = zeta_transform(MobiusTable(n, np.abs(values))).values
     bound = 2 * n * 2.0**-53 * zeta_abs
     for mask, exact in enumerate(mobius_exact(values)):
+        assert abs(Fraction(float(got[mask])) - exact) <= Fraction(float(bound[mask])), mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["random", "additive", "small-integer"]),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=-3, max_value=11),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_zeta_within_the_rounding_bound_of_the_exact_subset_sums(kind, n, k, seed):
+    # Each subset sum adds at most 2^n stored dividends in n passes, so its
+    # rounding error is at most 2·n·u times the subset sum of |d|, as for
+    # the Moebius transform, with u = 2^-53.
+    dividends = _exact_check_table(kind, n, seed) * 10.0**k
+    got = zeta_transform(MobiusTable(n, dividends)).values
+    bound = 2 * n * 2.0**-53 * zeta_transform(MobiusTable(n, np.abs(dividends))).values
+    for mask, exact in enumerate(zeta_exact(dividends)):
         assert abs(Fraction(float(got[mask])) - exact) <= Fraction(float(bound[mask])), mask
 
 
