@@ -26,17 +26,7 @@ import numpy as np
 
 from .dataset_eval import OutcomeTable, null_feature_residual
 from .errors import TableError
-from .importance import (
-    _SUBGAME_RULES,
-    ImportanceVector,
-    ScoreMethod,
-    _first_vectors,
-    _shapley_shares,
-    _stack_columns,
-    _subgame_scores,
-    _walk,
-    score_vector,
-)
+from .importance import ImportanceVector, ScoreMethod, _first_vectors, _walk, score_vector
 from .subset_algebra import (
     DEFAULT_TOL,
     Tolerance,
@@ -44,8 +34,11 @@ from .subset_algebra import (
     _context_mask,
     _halves,
     _marginals,
+    _subset_transform,
     indices_of,
     mix,
+    mobius_transform,
+    popcount_table,
 )
 
 SYMMETRY_VARIANTS = ("z_empty", "z_pair")
@@ -190,6 +183,39 @@ def check_marginal_contribution(
     worst = float(gaps[at]) if gaps[at] > 0 else 0.0
     witness = Witness(feature=at, lhs=float(v.scores[at]), rhs=float(floors[at]))
     return _report("marginal_contribution", tol, worst, witness)
+
+
+# Rules whose subgame scores can rise: bivariate keeps v({f}) in every
+# subgame, and MCI satisfies elimination (see check_elimination).
+_SUBGAME_RULES = (ScoreMethod.ABLATION, ScoreMethod.SHAPLEY)
+
+
+def _shapley_shares(table: ValueTable) -> np.ndarray:
+    """Each dividend split evenly over its features: ``d(W) / |W|``.
+
+    Entry 0 holds ``d({}) / 1 = v({})``; no subgame reads it."""
+    return mobius_transform(table).dividends / np.maximum(popcount_table(table.n), 1)
+
+
+def _subgame_scores(
+    method: ScoreMethod, table: ValueTable, f: int,
+    diffs: np.ndarray | None, shares: np.ndarray | None,
+) -> np.ndarray:
+    """Feature f's score in every subgame containing it, in O(n * 2^n) at most.
+
+    Entry c scores f in the subgame on ``_context_mask(c, f) | 1 << f``,
+    so the last entry is the full game. A subgame keeps f's marginals
+    ``diffs`` over its contexts and the dividends of its subsets: ablation
+    reads the marginals, and Shapley sums ``shares`` (see
+    :func:`_shapley_shares`) over the W containing f. Only the rules of
+    ``_SUBGAME_RULES`` are scored here.
+    """
+    if method is ScoreMethod.ABLATION:
+        return diffs
+    if method is ScoreMethod.SHAPLEY:
+        _, with_f = _halves(shares, table.n, f)
+        return _subset_transform(with_f.flatten(), table.n - 1, np.add)
+    raise TableError(f"no subgame scores for {method!r}")
 
 
 def _rise(f: int, in_subgames: np.ndarray) -> tuple[float, Witness]:
@@ -451,18 +477,18 @@ def audit_table(
     rules = methods + (() if ScoreMethod.MCI in methods else (ScoreMethod.MCI,))
     subgames = [m for m in methods if m in _SUBGAME_RULES] if table.n > 1 else []
     shares = _shapley_shares(table) if ScoreMethod.SHAPLEY in subgames else None
-    descents, tops, per_feature = [], [], []
+    columns: dict[ScoreMethod, tuple[np.ndarray, np.ndarray | None]] = {}
+    descents, tops = [], []
     rises: dict[ScoreMethod, list] = {m: [] for m in methods}
     # MCI is always among the rules, so every feature's marginals come back.
-    for f, (diffs, scores) in enumerate(_walk(table.values[None], table.n, rules)):
+    for f, diffs in enumerate(_walk(table.values[None], table.n, rules, columns)):
         diffs = diffs[0]
-        per_feature.append(scores)
         descents.append(_descent(table.values, f, diffs))
-        active = any(abs(s[0]) > tol.absolute for s, _ in scores[: len(methods)])
+        active = any(abs(columns[m][0][0, f]) > tol.absolute for m in methods)
         tops.append(float(np.max(np.abs(diffs))) if active else None)
         for m in subgames:
             rises[m].append(_rise(f, _subgame_scores(m, table, f, diffs, shares)))
-    vectors = _first_vectors(_stack_columns(rules, per_feature))
+    vectors = _first_vectors(columns)
     reference = vectors[ScoreMethod.MCI].scores
     pairs = _interchangeable(table, tol)
     rows = [

@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -48,7 +49,7 @@ _EXIT_VIOLATION = 3
 
 class _Parser(argparse.ArgumentParser):
     # Exit code 1 for usage problems instead of argparse's default 2.
-    def error(self, message: str) -> "typing.NoReturn":  # type: ignore[name-defined]
+    def error(self, message: str) -> NoReturn:
         raise _UsageError(message)
 
 

@@ -13,7 +13,8 @@ Four scoring rules, all exact functions of the table:
 Scores come back per feature or as a whole vector; vectors share the
 popcount and weight precomputation, which is what keeps the Shapley
 path usable at the 20-feature cap. One walk over the features scores a
-stack of tables, one table per row; a single table is a stack of one.
+stack of tables, one table per row, filling each rule's score columns in
+place; a single table is a stack of one.
 """
 
 from __future__ import annotations
@@ -30,15 +31,7 @@ import numpy as np
 
 from .errors import TableError
 from .separability import Partition, block_unions
-from .subset_algebra import (
-    ValueTable,
-    _context_mask,
-    _halves,
-    _marginals,
-    _subset_transform,
-    mobius_transform,
-    popcount_table,
-)
+from .subset_algebra import ValueTable, _context_mask, _marginals, popcount_table
 
 
 class ScoreMethod(enum.Enum):
@@ -118,9 +111,9 @@ class ImportanceVector:
 
 # Rules that read a feature's marginals; the other two read single entries.
 _MARGINAL_RULES = (ScoreMethod.SHAPLEY, ScoreMethod.MCI)
-# Rules whose subgame scores can rise: bivariate keeps v({f}) in every
-# subgame, and MCI satisfies elimination (see check_elimination).
-_SUBGAME_RULES = (ScoreMethod.ABLATION, ScoreMethod.SHAPLEY)
+# Each rule's scores over a stack of tables, shape (k, n), and MCI's
+# witness contexts, else None: what one walk over the features fills.
+_Columns = dict[ScoreMethod, tuple[np.ndarray, np.ndarray | None]]
 
 # OpenBLAS splits a dot product over more than 10000 entries across its
 # threads, which moves the last bits of the sum; runs of this length
@@ -162,45 +155,37 @@ def _shapley_context_weights(n: int) -> np.ndarray:
     return shapley_weights(n)[popcount_table(n - 1)]
 
 
-def _walk(values: np.ndarray, n: int, rules: tuple[ScoreMethod, ...]):
+def _walk(values: np.ndarray, n: int, rules: tuple[ScoreMethod, ...], columns: _Columns):
     """Walk the features in ascending order over ``values``, a stack of
-    tables of shape (k, 2^n), yielding each one's marginals, shape
-    (k, 2^(n-1)) and None unless a rule reads them, and its
-    ``_score_rows`` result under each of ``rules``."""
+    tables of shape (k, 2^n), filling ``columns[m]`` with rule m's scores,
+    shape (k, n), and MCI's witness contexts, else None. Once column f is
+    filled, yield feature f's marginals, shape (k, 2^(n-1)), or None
+    unless a rule reads them."""
     weights = _shapley_context_weights(n) if ScoreMethod.SHAPLEY in rules else None
     reads = not {*rules}.isdisjoint(_MARGINAL_RULES)
+    shape = (values.shape[0], n)
+    for m in rules:
+        columns[m] = np.empty(shape), np.empty(shape, np.int64) if m is ScoreMethod.MCI else None
     for f in range(n):
         diffs = _marginals(values, n, f) if reads else None
-        yield diffs, [_score_rows(m, values, f, diffs, weights) for m in rules]
+        for m in rules:
+            scores, witnesses = columns[m]
+            scores[:, f], best = _score_rows(m, values, f, diffs, weights)
+            if witnesses is not None:
+                witnesses[:, f] = _context_mask(best, f)
+        yield diffs
 
 
-def _stack_columns(
-    methods: tuple[ScoreMethod, ...], per_feature: list[list[tuple[np.ndarray, np.ndarray | None]]]
-) -> dict[ScoreMethod, tuple[np.ndarray, np.ndarray | None]]:
-    """Each rule's scores, shape (k, n), and MCI's witness contexts, from
-    each feature's ``_score_rows`` results."""
-    n = len(per_feature)
-    columns = {}
-    for m, column in zip(methods, zip(*per_feature)):
-        scores, best = zip(*column)
-        witnesses = None
-        if m is ScoreMethod.MCI:
-            witnesses = _context_mask(np.concatenate(best).reshape(n, -1).T, np.arange(n))
-        columns[m] = np.concatenate(scores).reshape(n, -1).T, witnesses
+def _stack_scores(methods: tuple[ScoreMethod, ...], values: np.ndarray, n: int) -> _Columns:
+    """The columns of one :func:`_walk` over a stack of tables, run to the end."""
+    columns: _Columns = {}
+    for _ in _walk(values, n, methods, columns):
+        pass
     return columns
 
 
-def _stack_scores(
-    methods: tuple[ScoreMethod, ...], values: np.ndarray, n: int
-) -> dict[ScoreMethod, tuple[np.ndarray, np.ndarray | None]]:
-    """:func:`_stack_columns` of one walk over a stack of tables."""
-    return _stack_columns(methods, [scores for _, scores in _walk(values, n, methods)])
-
-
-def _first_vectors(
-    columns: dict[ScoreMethod, tuple[np.ndarray, np.ndarray | None]]
-) -> dict[ScoreMethod, ImportanceVector]:
-    """Score vectors of the first table of a stack, from :func:`_stack_columns`."""
+def _first_vectors(columns: _Columns) -> dict[ScoreMethod, ImportanceVector]:
+    """Score vectors of the first table of a stack, from :func:`_walk`'s columns."""
     vectors = {}
     for m, (scores, witnesses) in columns.items():
         contexts = None if witnesses is None else tuple(witnesses[0].tolist())
@@ -214,34 +199,6 @@ def score_vectors(
     """Score vectors under several rules from one walk over the features;
     a feature's marginals are computed once, when some rule reads them."""
     return _first_vectors(_stack_scores(tuple(methods), table.values[None], table.n))
-
-
-def _shapley_shares(table: ValueTable) -> np.ndarray:
-    """Each dividend split evenly over its features: ``d(W) / |W|``.
-
-    Entry 0 holds ``d({}) / 1 = v({})``; no subgame reads it."""
-    return mobius_transform(table).dividends / np.maximum(popcount_table(table.n), 1)
-
-
-def _subgame_scores(
-    method: ScoreMethod, table: ValueTable, f: int,
-    diffs: np.ndarray | None, shares: np.ndarray | None,
-) -> np.ndarray:
-    """Feature f's score in every subgame containing it, in O(n * 2^n) at most.
-
-    Entry c scores f in the subgame on ``_context_mask(c, f) | 1 << f``,
-    so the last entry is the full game. A subgame keeps f's marginals
-    ``diffs`` over its contexts and the dividends of its subsets: ablation
-    reads the marginals, and Shapley sums ``shares`` (see
-    :func:`_shapley_shares`) over the W containing f. Only the rules of
-    ``_SUBGAME_RULES`` are scored here.
-    """
-    if method is ScoreMethod.ABLATION:
-        return diffs
-    if method is ScoreMethod.SHAPLEY:
-        _, with_f = _halves(shares, table.n, f)
-        return _subset_transform(with_f.flatten(), table.n - 1, np.add)
-    raise TableError(f"no subgame scores for {method!r}")
 
 
 def score(method: ScoreMethod, table: ValueTable, f: int) -> float:

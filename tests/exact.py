@@ -23,16 +23,21 @@ def mobius_exact(values):
     return dividends
 
 
+def subset_sums_exact(entries):
+    """Subset sums of the rationals ``entries``, in place: entry S becomes
+    the sum of the entries inside S, formed by one exact pass per bit."""
+    for f in range(len(entries).bit_length() - 1):
+        bit = 1 << f
+        for mask in range(len(entries)):
+            if mask & bit:
+                entries[mask] += entries[mask ^ bit]
+    return entries
+
+
 def zeta_exact(dividends):
     """Subset sums of the stored ``dividends``, exactly: entry S is the
     sum of d(W) over the W inside S, formed by one sum pass per bit."""
-    values = [Fraction(float(d)) for d in dividends]
-    for f in range(len(values).bit_length() - 1):
-        bit = 1 << f
-        for mask in range(len(values)):
-            if mask & bit:
-                values[mask] += values[mask ^ bit]
-    return values
+    return subset_sums_exact([Fraction(float(d)) for d in dividends])
 
 
 def linear_scores_exact(values):
@@ -46,8 +51,38 @@ def linear_scores_exact(values):
     return {
         "bivariate": [stored[1 << f] for f in features],
         "ablation": [stored[full] - stored[full ^ 1 << f] for f in features],
-        "shapley": [
-            sum(d / bin(w).count("1") for w, d in enumerate(dividends) if w >> f & 1)
-            for f in features
-        ],
+        "shapley": [sum(with_f_shares(dividends, f)) for f in features],
     }
+
+
+def with_f_shares(entries, f):
+    """Entry W / |W| of the rationals ``entries`` for each W that contains
+    feature f, in ascending order of W: entry c belongs to the W whose
+    bits outside f spell c."""
+    return [e / bin(w).count("1") for w, e in enumerate(entries) if w >> f & 1]
+
+
+def shapley_subgames_exact(values, f):
+    """Feature f's Shapley score in every subgame containing it, exactly,
+    for the stored ``values``.
+
+    Entry c scores f in the subgame on the features of the W of entry c
+    (see :func:`with_f_shares`): the sum of d(W')/|W'| over the W' inside W
+    that contain f. The exact dividends of the with-f half are divided by
+    |W| and summed with one exact pass per bit.
+    """
+    return subset_sums_exact(with_f_shares(mobius_exact(values), f))
+
+
+def mci_exact(values):
+    """Each feature's largest exact marginal v(T | f) - v(T) of the stored
+    ``values`` over the contexts T excluding f, and the lowest T attaining it."""
+    stored = [Fraction(float(v)) for v in values]
+    full = len(stored) - 1
+    scores, witnesses = [], []
+    for f in range(full.bit_length()):
+        marginals = {t: stored[t | 1 << f] - stored[t] for t in range(full + 1) if not t >> f & 1}
+        top = max(marginals.values())
+        scores.append(top)
+        witnesses.append(min(t for t, m in marginals.items() if m == top))
+    return scores, witnesses

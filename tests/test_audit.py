@@ -150,9 +150,9 @@ def test_shapley_elimination_computes_no_marginals(monkeypatch):
 def test_mci_elimination_runs_no_subset_transform(monkeypatch, n):
     # MCI satisfies elimination, so its row comes without subgame maxima;
     # the one-zeta Moebius transform of the Shapley shares goes through
-    # subset_algebra's binding, and each Shapley subgame through importance's.
+    # subset_algebra's binding, and each Shapley subgame through axioms'.
     table = seeded_table(n, 5, False)
-    calls = _count_calls(monkeypatch, (importance, subset_algebra), "_subset_transform")
+    calls = _count_calls(monkeypatch, (axioms, subset_algebra), "_subset_transform")
     rows, _ = audit_table(table, "table", (ScoreMethod.MCI,), Tolerance(1e-9))
     assert calls == []
     assert repr(dict(rows)["elimination[table,mci]"]) == repr(

@@ -1,5 +1,7 @@
 """Checker behavior: what passes, what fails, and what is vacuous."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,10 +32,12 @@ from sepsets import (
     score,
     score_vector,
 )
+from sepsets import axioms
 from sepsets.axioms import Witness, report_rows_markdown
 from sepsets.scenarios import demo_mci_nonlinearity
 
 from conftest import block_additive_table, random_blocks, random_table, seeded_table
+from exact import shapley_subgames_exact, subset_sums_exact, with_f_shares, zeta_exact
 
 TOL = Tolerance(1e-9)
 
@@ -180,6 +184,34 @@ def test_shapley_elimination_matches_per_drop_oracle(n, seed, integers):
         after = score(ScoreMethod.SHAPLEY, restricted, kept.index(w.feature))
         before = score(ScoreMethod.SHAPLEY, table, w.feature)
         assert abs((after - before) - report.residual) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(*ORACLE_CASES, st.integers(min_value=-3, max_value=11))
+def test_shapley_subgames_within_their_rounding_bound_of_the_exact_ones(n, seed, integers, k):
+    """Each Shapley subgame score lies within (3n + 1)·u·B of the exact one,
+    with u = 2^-53. B sums ζ|v|(W)/|W| over the W of the subgame that
+    contain f, where ζ|v|(W) is the sum of |v(T)| over the T inside W.
+
+    Each computed dividend is within 2·n·u·ζ|v|(W) of d(W), the bound that
+    test_mobius_within_the_rounding_bound_of_the_exact_dividends holds, and
+    |d(W)| <= ζ|v|(W). Dividing by |W| rounds once more, so each share is
+    within (2n + 1)·u·ζ|v|(W)/|W| of d(W)/|W| to first order. The subgame
+    pass adds at most 2^(n-1) shares in n - 1 passes, so each share meets
+    at most n - 1 additions: γ_(n-1) times the sum of the shares'
+    magnitudes (Higham, ch. 4), (n - 1)·u·B to first order. That is 3n·u·B
+    in all, and at n <= 8 the second-order terms stay far below u·B.
+    """
+    table = ValueTable(n, seeded_table(n, seed, integers).values * 10.0**k)
+    shares = axioms._shapley_shares(table)
+    magnitudes = zeta_exact(np.abs(table.values))
+    for f in range(n):
+        got = axioms._subgame_scores(ScoreMethod.SHAPLEY, table, f, None, shares).tolist()
+        want = shapley_subgames_exact(table.values, f)
+        spread = subset_sums_exact(with_f_shares(magnitudes, f))
+        bound = [(3 * n + 1) * Fraction(2**-53) * b for b in spread]
+        for c in range(len(got)):
+            assert abs(Fraction(got[c]) - want[c]) <= bound[c], (f, c)
 
 
 def test_elimination_runs_past_twelve_features():

@@ -27,7 +27,7 @@ from sepsets import (
 from sepsets.subset_algebra import popcount_table
 
 from conftest import random_table, seeded_table
-from exact import linear_scores_exact
+from exact import linear_scores_exact, mci_exact
 
 
 def shapley_by_permutations(table, f):
@@ -326,3 +326,39 @@ def test_shapley_within_its_rounding_bound_of_the_exact_dividend_shares(case):
             weights[bin(c).count("1")] * abs(stored[c | 1 << f] - stored[c]) for c in contexts
         )
         assert abs(Fraction(got[f]) - want) <= 2 * (m + 2) * _U * spread, f
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=11),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mci_scores_and_witnesses_are_the_exact_ones_on_integer_tables(n, k, seed):
+    # Integers in [-3, 3] times 10^k, k >= 0, are integers below 2^53, and
+    # so is every marginal: each maximum and the lowest mask among its ties
+    # are exact, so the walk's scores and witness columns must be those.
+    values = _scaled_table("small-integer", n, k, seed)
+    v = score_vector(ScoreMethod.MCI, ValueTable(n, values))
+    scores, witnesses = mci_exact(values)
+    assert [Fraction(x) for x in v.scores.tolist()] == scores
+    assert list(v.witnesses) == witnesses
+
+
+@settings(max_examples=60, deadline=None)
+@given(_EXACT_CHECK)
+def test_mci_within_one_rounding_of_the_largest_exact_marginal(case):
+    # Each marginal subtracts two stored values, one rounding: within
+    # u·|e_T| of its exact value e_T. So the largest computed marginal lies
+    # within u·max_T |e_T| of the largest exact one, and the score is the
+    # computed marginal at its witness, bit for bit.
+    n = case[1]
+    values = _scaled_table(*case)
+    v = score_vector(ScoreMethod.MCI, ValueTable(n, values))
+    stored = [Fraction(x) for x in values.tolist()]
+    for f, want in enumerate(mci_exact(values)[0]):
+        contexts = [t for t in range(1 << n) if not t >> f & 1]
+        spread = max(abs(stored[t | 1 << f] - stored[t]) for t in contexts)
+        assert abs(Fraction(float(v.scores[f])) - want) <= _U * spread, f
+        w = v.witnesses[f]
+        assert v.scores[f] == values[w | 1 << f] - values[w], f
