@@ -34,6 +34,7 @@ from .subset_algebra import (
     _context_mask,
     _halves,
     _marginals,
+    _pinned,
     _subset_transform,
     indices_of,
     mix,
@@ -191,30 +192,29 @@ _SUBGAME_RULES = (ScoreMethod.ABLATION, ScoreMethod.SHAPLEY)
 
 
 def _shapley_shares(table: ValueTable) -> np.ndarray:
-    """Each dividend split evenly over its features: ``d(W) / |W|``.
-
-    Entry 0 holds ``d({}) / 1 = v({})``; no subgame reads it."""
-    return mobius_transform(table).dividends / np.maximum(popcount_table(table.n), 1)
+    """One zeta transform of the dividend shares: entry S sums ``d(W) / |W|``
+    over the nonempty W inside S, so f's Shapley score in the subgame on S,
+    the shares of the W that contain f, is entry S minus entry ``S - f``."""
+    shares = mobius_transform(table).dividends / np.maximum(popcount_table(table.n), 1)
+    shares[0] = 0.0
+    return _subset_transform(shares, table.n, np.add)
 
 
 def _subgame_scores(
     method: ScoreMethod, table: ValueTable, f: int,
     diffs: np.ndarray | None, shares: np.ndarray | None,
 ) -> np.ndarray:
-    """Feature f's score in every subgame containing it, in O(n * 2^n) at most.
+    """Feature f's score in every subgame containing it, in O(2^n).
 
-    Entry c scores f in the subgame on ``_context_mask(c, f) | 1 << f``,
-    so the last entry is the full game. A subgame keeps f's marginals
-    ``diffs`` over its contexts and the dividends of its subsets: ablation
-    reads the marginals, and Shapley sums ``shares`` (see
-    :func:`_shapley_shares`) over the W containing f. Only the rules of
+    Entry c scores f in the subgame on ``_context_mask(c, f) | 1 << f``, so
+    the last entry is the full game: under ablation f's marginals ``diffs``,
+    under Shapley f's marginals of :func:`_shapley_shares`. Only the rules of
     ``_SUBGAME_RULES`` are scored here.
     """
     if method is ScoreMethod.ABLATION:
         return diffs
     if method is ScoreMethod.SHAPLEY:
-        _, with_f = _halves(shares, table.n, f)
-        return _subset_transform(with_f.flatten(), table.n - 1, np.add)
+        return _marginals(shares, table.n, f)
     raise TableError(f"no subgame scores for {method!r}")
 
 
@@ -246,9 +246,10 @@ def check_elimination(
     Every nonempty proper feature subset is eliminated in turn and each
     surviving feature rescored (the empty elimination changes nothing).
     The subgame scores come in closed form, O(n * 2^n) per rule and
-    O(2^n) memory. The witness is the largest rise, ties going to the
-    lowest drop mask and then the lowest feature; its features are in
-    the original indexing.
+    O(2^n) memory; Shapley's take one zeta transform of the dividend
+    shares. The witness is the largest rise, ties going to the lowest
+    drop mask and then the lowest feature; its features are in the
+    original indexing.
 
     Two rules pass with residual 0.0 and nothing to score. Bivariate keeps
     v({f}) in every subgame. MCI satisfies elimination (Catav et al.,
@@ -256,12 +257,11 @@ def check_elimination(
     never exceeds the maximum over all of them, in floats as well. A rise
     from overflowing marginals is NaN or -inf, never above 0.
     """
-    rises = []
-    if table.n > 1 and method in _SUBGAME_RULES:
-        shares = _shapley_shares(table) if method is ScoreMethod.SHAPLEY else None
-        for f in range(table.n):
-            diffs = _marginals(table.values, table.n, f) if method is ScoreMethod.ABLATION else None
-            rises.append(_rise(f, _subgame_scores(method, table, f, diffs, shares)))
+    if table.n == 1 or method not in _SUBGAME_RULES:
+        return _elimination_report([], tol)
+    # Ablation's subgame scores are f's marginals, Shapley's those of the shares' sums.
+    base = _shapley_shares(table) if method is ScoreMethod.SHAPLEY else table.values
+    rises = [_rise(f, _marginals(base, table.n, f)) for f in range(table.n)]
     return _elimination_report(rises, tol)
 
 
@@ -280,19 +280,22 @@ def check_minimalism(
 
 
 def _triviality_report(
-    table: ValueTable, scores: np.ndarray, top: Callable[[int], float], tol: Tolerance
+    table: ValueTable, magnitude: np.ndarray, scores: np.ndarray,
+    top: Callable[[int], float], tol: Tolerance,
 ) -> AxiomReport:
-    """Triviality of ``scores``; ``top(f)`` is the largest |marginal| of
-    feature f, asked only for features scored beyond tolerance."""
+    """Triviality of ``scores``, given ``magnitude`` = |v|; ``top(f)`` is the largest
+    |marginal| of feature f, asked only for features scored beyond tolerance."""
     n, values = table.n, table.values
-    magnitude = np.abs(values)
     active = np.abs(scores) > tol.absolute
     active_mask = sum(1 << f for f in range(n) if active[f])
     candidates = []
-    # Item 1: valued subsets without an active member; the first maximum wins.
-    silent = (magnitude > tol.absolute) & (np.arange(1 << n) & active_mask == 0)
-    s = int(np.argmax(np.where(silent, magnitude, 0.0)))
-    if silent[s]:
+    # Item 1: valued subsets without an active member, read as the subsets of
+    # the inactive features in ascending mask order; the first maximum wins.
+    silent = magnitude.reshape((2,) * n)[_pinned(n, active_mask)].reshape(-1)
+    s = int(np.argmax(silent))
+    if silent[s] > tol.absolute:
+        for f in indices_of(active_mask):
+            s = _context_mask(s, f)
         peak = max((abs(float(scores[f])) for f in indices_of(s)), default=0.0)
         candidates.append((float(magnitude[s]), Witness(subset=s, lhs=float(values[s]), rhs=peak)))
     # Item 2, ascending feature scan.
@@ -306,7 +309,7 @@ def _triviality_report(
     worst, witness = _first_worst(candidates)
     if witness is not None:
         return AxiomReport("triviality", False, worst, tol.absolute, witness=witness)
-    if not np.any(magnitude > tol.absolute) and not np.any(active):
+    if not np.any(active) and not np.any(magnitude > tol.absolute):
         return _vacuous("triviality", tol, "all values and all scores are zero")
     return _passed("triviality", tol)
 
@@ -328,7 +331,7 @@ def check_triviality(
     def top(f: int) -> float:
         return float(np.max(np.abs(_marginals(table.values, table.n, f))))
 
-    return _triviality_report(table, v.scores, top, tol)
+    return _triviality_report(table, np.abs(table.values), v.scores, top, tol)
 
 
 def check_null_feature(
@@ -471,7 +474,8 @@ def audit_table(
     the score vectors, MCI among them. Feature f's marginals are computed
     once and feed monotonicity, every rule's score, triviality item 2 and
     the ablation subgames; one feature's arrays live at a time. Only the
-    ablation and Shapley subgames are scored (see :func:`check_elimination`).
+    ablation and Shapley subgames are scored (see :func:`check_elimination`),
+    Shapley's from one zeta transform (see :func:`_shapley_shares`).
     """
     methods = tuple(methods)
     rules = methods + (() if ScoreMethod.MCI in methods else (ScoreMethod.MCI,))
@@ -491,6 +495,7 @@ def audit_table(
     vectors = _first_vectors(columns)
     reference = vectors[ScoreMethod.MCI].scores
     pairs = _interchangeable(table, tol)
+    magnitude, top = np.abs(table.values), tops.__getitem__
     rows = [
         (f"empty_set_value[{label}]", check_empty_set(table, tol)),
         (f"monotonicity[{label}]", _report("monotonicity", tol, *_first_worst(descents))),
@@ -498,7 +503,7 @@ def audit_table(
     for m in methods:
         v, tag = vectors[m], f"{label},{m.value}"
         rows += [
-            (f"triviality[{tag}]", _triviality_report(table, v.scores, tops.__getitem__, tol)),
+            (f"triviality[{tag}]", _triviality_report(table, magnitude, v.scores, top, tol)),
             (f"marginal_contribution[{tag}]", check_marginal_contribution(table, v, tol)),
             (f"minimalism[{tag}]", _largest_gap("minimalism", v.scores, reference, tol)),
             *(

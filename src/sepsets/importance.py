@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import enum
 import functools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import factorial
 
 import numpy as np
 
 from .errors import TableError
 from .separability import Partition, block_unions
-from .subset_algebra import ValueTable, _context_mask, _marginals, popcount_table
+from .subset_algebra import ValueTable, _context_mask, _marginals
 
 
 class ScoreMethod(enum.Enum):
@@ -115,10 +113,23 @@ _MARGINAL_RULES = (ScoreMethod.SHAPLEY, ScoreMethod.MCI)
 # witness contexts, else None: what one walk over the features fills.
 _Columns = dict[ScoreMethod, tuple[np.ndarray, np.ndarray | None]]
 
-# OpenBLAS splits a dot product over more than 10000 entries across its
-# threads, which moves the last bits of the sum; runs of this length
-# stay on one thread, so scores do not depend on the thread count.
-_DOT_RUN = 1 << 13
+# Entries per run of the Shapley reduction, and in its one scratch buffer.
+# numpy sums each run pairwise and the run sums are added in order, so a
+# row's bits do not depend on the other rows of its stack.
+_SUM_RUN = 1 << 13
+
+
+def _weighted_row_sums(diffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``(diffs * weights).sum(axis=1)`` for a (k, m) stack, in runs of ``_SUM_RUN``."""
+    width = min(diffs.shape[1], _SUM_RUN)
+    rows = _SUM_RUN // width
+    sums, scratch = np.zeros(len(diffs)), np.empty((rows, width))
+    for r in range(0, len(diffs), rows):
+        for c in range(0, diffs.shape[1], width):
+            run = diffs[r : r + rows, c : c + width]
+            np.multiply(run, weights[c : c + width], out=scratch[: len(run)])
+            sums[r : r + rows] += scratch[: len(run)].sum(axis=1)
+    return sums
 
 
 def _score_rows(
@@ -135,12 +146,7 @@ def _score_rows(
         return values[:, full] - values[:, full ^ bit], None
     if method is ScoreMethod.SHAPLEY:
         assert weights is not None and diffs is not None
-        runs = range(0, diffs.shape[1], _DOT_RUN)
-        sums = (
-            reduce(operator.add, (weights[i : i + _DOT_RUN] @ row[i : i + _DOT_RUN] for i in runs))
-            for row in diffs
-        )
-        return np.fromiter(sums, np.float64, diffs.shape[0]), None
+        return _weighted_row_sums(diffs, weights), None
     if method is ScoreMethod.MCI:
         # argmax picks each row's first maximizer; contexts run in ascending
         # mask order, so that is the lowest-bitmask witness. The score is
@@ -152,7 +158,7 @@ def _score_rows(
 
 def _shapley_context_weights(n: int) -> np.ndarray:
     """Shapley weight of each context of a feature, in :func:`_marginals` order."""
-    return shapley_weights(n)[popcount_table(n - 1)]
+    return shapley_weights(n)[np.bitwise_count(np.arange(1 << (n - 1)))]
 
 
 def _walk(values: np.ndarray, n: int, rules: tuple[ScoreMethod, ...], columns: _Columns):

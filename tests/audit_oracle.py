@@ -75,14 +75,18 @@ def check_marginal_contribution(table, v, tol):
 def _subgame_scores(method, table):
     n = table.n
     if method is ScoreMethod.SHAPLEY:
-        dividends = mobius_transform(table).dividends
-        sizes = (popcount_table(n - 1) + 1.0).reshape((2,) * (n - 1))
+        # Entry S of the subset sums of the shares d(W)/|W| sums them over
+        # the W inside S; feature f's subgame scores are the marginals of f
+        # in those sums.
+        shares = mobius_transform(table).dividends / np.maximum(popcount_table(n), 1)
+        shares[0] = 0.0
+        sums = subset_transform_per_bit(shares, n, np.add)
     for f in range(n):
         if method is ScoreMethod.BIVARIATE:
             yield np.full(1 << (n - 1), table.values[1 << f])
         elif method is ScoreMethod.SHAPLEY:
-            _, with_f = _halves(dividends, n, f)
-            yield subset_transform_per_bit(np.reshape(with_f / sizes, -1), n - 1, np.add)
+            without_f, with_f = _halves(sums, n, f)
+            yield np.reshape(with_f - without_f, -1)
         else:
             scores = _marginals(table.values, n, f)
             if method is ScoreMethod.MCI:

@@ -6,6 +6,7 @@ Python arithmetic on growing denominators: fine at n <= 8.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 def mobius_exact(values):
@@ -32,6 +33,24 @@ def subset_sums_exact(entries):
             if mask & bit:
                 entries[mask] += entries[mask ^ bit]
     return entries
+
+
+@lru_cache(maxsize=4)
+def _dividend_masks(stored):
+    """The masks W whose exact dividend of the float tuple ``stored`` is nonzero."""
+    return tuple(w for w, d in enumerate(mobius_exact(stored)) if d)
+
+
+def separable_exact(values, subset):
+    """True when no nonzero exact dividend of the stored ``values`` straddles
+    the mask ``subset``, that is, meets both it and its complement.
+
+    With v({}) = 0 this is separability, v(T) = v(T & S) + v(T - S) for
+    every T: that residual is the sum of d(W) over the straddling W inside
+    T. The dividends are computed once per table and kept for the next call.
+    """
+    stored = tuple(float(v) for v in values)
+    return not any(w & subset and w & ~subset for w in _dividend_masks(stored))
 
 
 def zeta_exact(dividends):

@@ -66,9 +66,10 @@ def run(capsys, argv):
 @pytest.mark.parametrize("stem", TABLE_GOLDEN)
 def test_scores_and_partition_stdout_match_golden_file(capsys, stem):
     # Written by the commands as they stood before score_vectors and the
-    # audit read one feature walk in the importance module. Shapley
-    # figures come from a BLAS dot product, whose last bits may differ
-    # under another BLAS kernel.
+    # audit read one feature walk in the importance module; the Shapley
+    # lines were rewritten when Shapley became numpy's pairwise sum. Those
+    # figures may differ in their last bits under a numpy with another
+    # summation order.
     assert main(TABLE_GOLDEN[stem]) == 0
     expected = (GOLDEN / f"{stem}.stdout").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
@@ -76,8 +77,9 @@ def test_scores_and_partition_stdout_match_golden_file(capsys, stem):
 
 @pytest.mark.parametrize("command", ["scores", "audit"])
 def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path, command):
-    # At n=16 each Shapley score sums 2^15 weighted marginals, past the
-    # length at which OpenBLAS splits one dot product across threads.
+    # At n=16 each Shapley score sums 2^15 weighted marginals, and the
+    # audit runs two transforms of 2^16 entries: no figure may depend on
+    # how many threads OpenBLAS has.
     path = tmp_path / "t16.json"
     path.write_text(json.dumps(table_to_dict(seeded_table(16, 0, False))))
     src = str(Path(sepsets.__file__).parents[1])

@@ -76,7 +76,7 @@ def score_vector_by_gather(method, table):
         sub = masks[(masks >> f) & 1 == 0]
         diffs = v[sub | bit] - v[sub]
         if method is ScoreMethod.SHAPLEY:
-            scores[f] = weights[pop[sub]] @ diffs
+            scores[f] = np.sum(weights[pop[sub]] * diffs)
         else:
             best = int(np.argmax(diffs))
             scores[f] = diffs[best]
@@ -326,6 +326,40 @@ def test_shapley_within_its_rounding_bound_of_the_exact_dividend_shares(case):
             weights[bin(c).count("1")] * abs(stored[c | 1 << f] - stored[c]) for c in contexts
         )
         assert abs(Fraction(got[f]) - want) <= 2 * (m + 2) * _U * spread, f
+
+
+def _gamma(k):
+    """Higham's γ_k = k·u / (1 - k·u), with u = 2^-53."""
+    return k * _U / (1 - k * _U)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_EXACT_CHECK)
+def test_shapley_within_the_bound_of_numpys_pairwise_order(case):
+    # At n <= 8 a feature has m = 2^(n-1) <= 128 contexts, so each score is
+    # one run of the reduction: numpy's pairwise sum of the m products
+    # t_c = w_c·(v(c ∪ f) - v(c)), added to 0. Below 8 terms it adds them in
+    # a row, so a term meets at most m - 1 additions. From 8 to 128 terms,
+    # and m is then a multiple of 8, it keeps 8 running sums of every 8th
+    # term, m/8 - 1 additions each, then adds the 8 sums pairwise in 3
+    # levels: m/8 + 2 additions. Each term is within γ_3 of its exact value
+    # (a rounded weight, marginal and product), and d additions add γ_d of
+    # the sum of the terms' magnitudes (Higham, ch. 4). So the score lies
+    # within γ_(d+3) of Σ_c w_c·|v(c ∪ f) - v(c)| of the exact one: at
+    # m = 128 that is γ_21, where any order allows γ_130.
+    n = case[1]
+    values = _scaled_table(*case)
+    got = score_vectors(_LINEAR, ValueTable(n, values))[ScoreMethod.SHAPLEY].scores.tolist()
+    stored = [Fraction(v) for v in values.tolist()]
+    weights = [Fraction(factorial(k) * factorial(n - 1 - k), factorial(n)) for k in range(n)]
+    m = 1 << (n - 1)
+    additions = m - 1 if m < 8 else m // 8 + 2
+    for f, want in enumerate(linear_scores_exact(values)["shapley"]):
+        contexts = [c for c in range(1 << n) if not c >> f & 1]
+        spread = sum(
+            weights[bin(c).count("1")] * abs(stored[c | 1 << f] - stored[c]) for c in contexts
+        )
+        assert abs(Fraction(got[f]) - want) <= _gamma(additions + 3) * spread, f
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,7 +27,7 @@ from sepsets import (
     space_to_dict,
 )
 
-from sepsets import sample_space
+from sepsets import inputs, sample_space
 from sepsets.cli import main
 from sepsets.importance import _stack_scores
 
@@ -114,6 +114,31 @@ def test_reader_holds_no_rows_past_an_instance_of_the_wrong_length():
         tracemalloc.stop()
     assert str(caught.value) == "instance 0: expected 1048576 values for n=20, got shape (1,)"
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    ("n", "count", "packs"),
+    [
+        # Instances of 2 values: one pack per run of 2^14 values.
+        (1, 10**4, [2**14, 2 * 10**4 - 2**14]),
+        # Instances of 2^9 values and more: one pack per instance.
+        (9, 3, [2**9] * 3),
+    ],
+)
+def test_space_reader_packs_small_instances_in_runs(monkeypatch, n, count, packs):
+    sizes = []
+    original = inputs._json_reals
+
+    def counted(items, what, out):
+        sizes.append(len(items))
+        return original(items, what, out)
+
+    monkeypatch.setattr(inputs, "_json_reals", counted)
+    values = np.arange(count << n, dtype=np.float64).reshape(count, 1 << n)
+    rows = [{"weight": 1, "values": v} for v in values.tolist()]
+    space = space_from_dict({"n": n, "instances": rows})
+    assert sizes == [count, *packs]  # the weights, then the values
+    assert space.values.tobytes() == values.tobytes()
 
 
 def test_mean_scores_read_the_stack_without_copying_it():

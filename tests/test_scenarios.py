@@ -142,8 +142,8 @@ def test_reports_serialize_deterministically():
 def test_demo_stdout_matches_golden_file(capsys, stem):
     # Written by the demos as they stood before they scored each table
     # once and took the linearity rows from the axiom module. Shapley
-    # figures come from a BLAS dot product, whose last bits may differ
-    # under another BLAS kernel.
+    # figures come from numpy's pairwise sum, whose last bits may differ
+    # under a numpy with another summation order.
     assert main(DEMO_GOLDEN[stem]) == 0
     expected = (GOLDEN / f"{stem}.stdout").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

@@ -1,5 +1,6 @@
 """Separable sets, maximal partitions, and closure."""
 
+import functools
 import itertools
 import json
 from math import comb
@@ -40,6 +41,8 @@ from sepsets import (
     zeta_transform,
 )
 from sepsets.separability import maximal_partition_oracle_sets
+
+from exact import separable_exact
 
 from conftest import (
     block_additive_table,
@@ -455,6 +458,32 @@ def test_meta_table_and_grouped_scores_match_mask_filters_bit_for_bit(n, seed):
     for method in ScoreMethod:
         grouped = grouped_score_vector(method, table, partition)
         assert grouped.tobytes() == score_vector(method, union_table).scores.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.02, max_value=0.4),
+)
+def test_separability_and_partition_match_the_exact_dividends(n, seed, density):
+    # Integer dividends in [-3, 3] on a random share of the masks, none on
+    # the empty set, give integer values far below 2^53: every residual is
+    # exact, and any nonzero one is at least 1. So at tol 1e-9 a set is
+    # separable exactly when no nonzero exact dividend straddles it, and
+    # the maximal partition sends each feature to the intersection of the
+    # exactly separable sets that contain it.
+    rng = np.random.default_rng(seed)
+    dividends = rng.integers(-3, 4, 1 << n) * (rng.random(1 << n) < density)
+    dividends[0] = 0
+    table = zeta_transform(MobiusTable(n, dividends.astype(np.float64)))
+    exact = [s for s in range(1 << n) if separable_exact(table.values, s)]
+    for subset in range(1 << n):
+        assert is_separable(table, subset, TOL).separable == (subset in exact), subset
+    blocks = set()
+    for f in range(n):
+        blocks.add(functools.reduce(int.__and__, (s for s in exact if s >> f & 1)))
+    assert maximal_partition(table, TOL).blocks == Partition(n, tuple(blocks)).blocks
 
 
 def test_partition_recovers_planted_blocks_past_65536_dividends():
