@@ -257,11 +257,12 @@ def check_elimination(
     never exceeds the maximum over all of them, in floats as well. A rise
     from overflowing marginals is NaN or -inf, never above 0.
     """
-    if table.n == 1 or method not in _SUBGAME_RULES:
-        return _elimination_report([], tol)
-    # Ablation's subgame scores are f's marginals, Shapley's those of the shares' sums.
-    base = _shapley_shares(table) if method is ScoreMethod.SHAPLEY else table.values
-    rises = [_rise(f, _marginals(base, table.n, f)) for f in range(table.n)]
+    rises = []
+    if table.n > 1 and method in _SUBGAME_RULES:
+        shares = _shapley_shares(table) if method is ScoreMethod.SHAPLEY else None
+        for f in range(table.n):
+            diffs = _marginals(table.values, table.n, f) if method is ScoreMethod.ABLATION else None
+            rises.append(_rise(f, _subgame_scores(method, table, f, diffs, shares)))
     return _elimination_report(rises, tol)
 
 

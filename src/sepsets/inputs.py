@@ -299,14 +299,16 @@ def space_from_dict(payload: dict) -> SampleSpace:
     # No row past the first instance of the wrong length, which is refused.
     fits = [isinstance(r["values"], (list, tuple)) and len(r["values"]) == 1 << n for r in rows]
     values = np.empty(((fits + [False]).index(False), 1 << n))
-    if len(values) == len(rows) and n < 9:
-        # Instances of under 2^9 values are packed in runs of _BLOCK_VALUES values
-        # (1024 at n=6: 3.5 ms, against 5.3 ms one by one). On an error the
-        # loop below packs instance by instance, to find and word it.
-        per, flat = _BLOCK_VALUES >> n, values.reshape(-1)
+    if len(values) == len(rows):
+        # Instances are packed in runs of about _BLOCK_VALUES values, at least
+        # one instance each. On an error the loop below packs instance by
+        # instance, to find and word it.
+        per, flat = max(1, _BLOCK_VALUES >> n), values.reshape(-1)
         try:
             for at in range(0, len(rows), per):
-                cells = [*itertools.chain.from_iterable(r["values"] for r in rows[at : at + per])]
+                cells = []
+                for row in rows[at : at + per]:
+                    cells += row["values"]
                 _json_reals(cells, "value", flat[at << n : (at << n) + len(cells)])
         except TableError:
             pass
@@ -350,9 +352,12 @@ def partition_from_dict(payload: dict) -> Partition:
 def _sniff(payload: dict) -> str:
     if not isinstance(payload, dict):
         raise _UsageError("input JSON must be an object")
-    for key, kind in (("values", "table"), ("instances", "space"), ("blocks", "partition")):
-        if key in payload:
-            return kind
+    if "values" in payload:
+        return "table"
+    if "instances" in payload:
+        return "space"
+    if "blocks" in payload:
+        return "partition"
     raise _UsageError(
         'unrecognized input: expected keys "values" (table), "instances" '
         '(sample space), or "blocks" (partition)'

@@ -21,7 +21,6 @@ The four scenarios:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +67,14 @@ class Claim:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None and v != ""}
+        out: dict = {"name": self.name, "holds": self.holds}
+        if self.lhs is not None:
+            out["lhs"] = self.lhs
+        if self.rhs is not None:
+            out["rhs"] = self.rhs
+        if self.note:
+            out["note"] = self.note
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,14 +347,18 @@ class ColliderParams:
 
 
 def _collider_joint(params: ColliderParams) -> list[tuple[int, int, int, int, float]]:
-    """Every (smoke, earache, gum, cancer) cell and its probability, smoke slowest."""
     cells = []
-    for s, e, g, c in itertools.product((0, 1), repeat=4):
+    for s in (0, 1):
         ps = params.p_smoke if s else 1.0 - params.p_smoke
-        pe = params.p_earache if e else 1.0 - params.p_earache
-        pg = params.p_gum[s][e] if g else 1.0 - params.p_gum[s][e]
-        pc = params.p_cancer[s] if c else 1.0 - params.p_cancer[s]
-        cells.append((s, e, g, c, ps * pe * pg * pc))
+        for e in (0, 1):
+            pe = params.p_earache if e else 1.0 - params.p_earache
+            for g in (0, 1):
+                pg1 = params.p_gum[s][e]
+                pg = pg1 if g else 1.0 - pg1
+                for c in (0, 1):
+                    pc1 = params.p_cancer[s]
+                    pc = pc1 if c else 1.0 - pc1
+                    cells.append((s, e, g, c, ps * pe * pg * pc))
     return cells
 
 
@@ -566,7 +576,9 @@ def render_scenario_markdown(report: ScenarioReport) -> str:
     if report.axiom_rows:
         lines.append("## axiom checks")
         lines.append(report_rows_markdown(list(report.axiom_rows)))
-    lines += ["## claims", "| claim | holds | lhs | rhs |", "| --- | --- | --- | --- |"]
+    lines.append("## claims")
+    lines.append("| claim | holds | lhs | rhs |")
+    lines.append("| --- | --- | --- | --- |")
     for c in report.claims:
         lines.append(
             f"| {c.name} | {'yes' if c.holds else 'NO'} | {_fmt(c.lhs)} | {_fmt(c.rhs)} |"

@@ -16,8 +16,6 @@ and must agree with it; tests hold both routes to that contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 
 import numpy as np
 
@@ -189,7 +187,9 @@ def enumerate_separable_sets(
         raise CapExceededError(
             f"exhaustive enumeration is capped at {ORACLE_MAX_FEATURES} features, got n={table.n}"
         )
-    return tuple(s for s in range(1 << table.n) if is_separable(table, s, tol).separable)
+    return tuple(
+        s for s in range(1 << table.n) if is_separable(table, s, tol).separable
+    )
 
 
 def maximal_partition_oracle(table: ValueTable, tol: Tolerance = DEFAULT_TOL) -> Partition:
@@ -199,7 +199,9 @@ def maximal_partition_oracle(table: ValueTable, tol: Tolerance = DEFAULT_TOL) ->
     intersection of all separable sets containing it. Slow by design;
     exists to hold :func:`maximal_partition` to its contract.
     """
-    return Partition(table.n, tuple(set(maximal_partition_oracle_sets(table, tol).values())))
+    separable = maximal_partition_oracle_sets(table, tol)
+    blocks = sorted(set(separable.values()))
+    return Partition(table.n, tuple(blocks))
 
 
 def maximal_partition_oracle_sets(
@@ -207,13 +209,20 @@ def maximal_partition_oracle_sets(
 ) -> dict[int, int]:
     """Feature -> intersection of all separable sets containing it."""
     seps = enumerate_separable_sets(table, tol)
-    if table.full_mask not in seps:
+    full = table.full_mask
+    if full not in seps:
         raise DegenerateInputError(
             "the full feature set is not separable (nonzero empty-set value?); "
             "no separable partition exists"
         )
-    # The full set is among the sets containing f, so each intersection has one.
-    return {f: reduce(and_, [s for s in seps if s >> f & 1]) for f in range(table.n)}
+    out: dict[int, int] = {}
+    for f in range(table.n):
+        acc = full
+        for s in seps:
+            if (s >> f) & 1:
+                acc &= s
+        out[f] = acc
+    return out
 
 
 def block_unions(partition: Partition) -> np.ndarray:

@@ -121,11 +121,13 @@ def test_reader_holds_no_rows_past_an_instance_of_the_wrong_length():
     [
         # Instances of 2 values: one pack per run of 2^14 values.
         (1, 10**4, [2**14, 2 * 10**4 - 2**14]),
-        # Instances of 2^9 values and more: one pack per instance.
-        (9, 3, [2**9] * 3),
+        # 2^9 values each: 32 instances to a run, so 3 fill one pack.
+        (9, 3, [3 * 2**9]),
+        # Instances of 2^14 values and more: one pack per instance.
+        (14, 2, [2**14] * 2),
     ],
 )
-def test_space_reader_packs_small_instances_in_runs(monkeypatch, n, count, packs):
+def test_space_reader_packs_instances_in_runs(monkeypatch, n, count, packs):
     sizes = []
     original = inputs._json_reals
 
