@@ -191,8 +191,8 @@ def check_marginal_contribution(
 _SUBGAME_RULES = (ScoreMethod.ABLATION, ScoreMethod.SHAPLEY)
 
 
-def _shapley_shares(table: ValueTable) -> np.ndarray:
-    """One zeta transform of the dividend shares: entry S sums ``d(W) / |W|``
+def _shapley_share_sums(table: ValueTable) -> np.ndarray:
+    """The zeta transform of the dividend shares: entry S sums ``d(W) / |W|``
     over the nonempty W inside S, so f's Shapley score in the subgame on S,
     the shares of the W that contain f, is entry S minus entry ``S - f``."""
     shares = mobius_transform(table).dividends / np.maximum(popcount_table(table.n), 1)
@@ -200,26 +200,13 @@ def _shapley_shares(table: ValueTable) -> np.ndarray:
     return _subset_transform(shares, table.n, np.add)
 
 
-def _subgame_scores(
-    method: ScoreMethod, table: ValueTable, f: int,
-    diffs: np.ndarray | None, shares: np.ndarray | None,
-) -> np.ndarray:
-    """Feature f's score in every subgame containing it, in O(2^n).
-
-    Entry c scores f in the subgame on ``_context_mask(c, f) | 1 << f``, so
-    the last entry is the full game: under ablation f's marginals ``diffs``,
-    under Shapley f's marginals of :func:`_shapley_shares`. Only the rules of
-    ``_SUBGAME_RULES`` are scored here.
-    """
-    if method is ScoreMethod.ABLATION:
-        return diffs
-    if method is ScoreMethod.SHAPLEY:
-        return _marginals(shares, table.n, f)
-    raise TableError(f"no subgame scores for {method!r}")
-
-
 def _rise(f: int, in_subgames: np.ndarray) -> tuple[float, Witness]:
-    """Feature f's largest score rise over its subgames, lowest drop mask first."""
+    """Feature f's largest score rise over its subgames, lowest drop mask first.
+
+    Entry c of ``in_subgames`` scores f in the subgame on
+    ``_context_mask(c, f) | 1 << f``, so the last entry is the full game.
+    Those are f's marginals of one base array: the table under ablation,
+    :func:`_shapley_share_sums` under Shapley."""
     # Reversed, entry c is what is left after dropping _context_mask(c, f).
     by_drop = in_subgames[::-1]
     rises = by_drop[1:] - by_drop[0]
@@ -245,8 +232,9 @@ def check_elimination(
 
     Every nonempty proper feature subset is eliminated in turn and each
     surviving feature rescored (the empty elimination changes nothing).
-    The subgame scores come in closed form, O(n * 2^n) per rule and
-    O(2^n) memory; Shapley's take one zeta transform of the dividend
+    The subgame scores come in closed form, each feature's marginals of
+    one base array (see :func:`_rise`), O(n * 2^n) per rule and O(2^n)
+    memory; Shapley's base takes one zeta transform of the dividend
     shares. The witness is the largest rise, ties going to the lowest
     drop mask and then the lowest feature; its features are in the
     original indexing.
@@ -259,10 +247,8 @@ def check_elimination(
     """
     rises = []
     if table.n > 1 and method in _SUBGAME_RULES:
-        shares = _shapley_shares(table) if method is ScoreMethod.SHAPLEY else None
-        for f in range(table.n):
-            diffs = _marginals(table.values, table.n, f) if method is ScoreMethod.ABLATION else None
-            rises.append(_rise(f, _subgame_scores(method, table, f, diffs, shares)))
+        base = _shapley_share_sums(table) if method is ScoreMethod.SHAPLEY else table.values
+        rises = [_rise(f, _marginals(base, table.n, f)) for f in range(table.n)]
     return _elimination_report(rises, tol)
 
 
@@ -473,28 +459,30 @@ def audit_table(
 
     Returns the labeled rows, each equal to its ``check_*`` report, and
     the score vectors, MCI among them. Feature f's marginals are computed
-    once and feed monotonicity, every rule's score, triviality item 2 and
-    the ablation subgames; one feature's arrays live at a time. Only the
-    ablation and Shapley subgames are scored (see :func:`check_elimination`),
-    Shapley's from one zeta transform (see :func:`_shapley_shares`).
+    once and feed monotonicity, every rule's score and the ablation
+    subgames; one feature's arrays live at a time. Only the ablation and
+    Shapley subgames are scored (see :func:`check_elimination`), Shapley's
+    as marginals of :func:`_shapley_share_sums`. Triviality item 2 reads
+    f's largest |marginal| as the larger magnitude of f's MCI score, its
+    largest marginal, and of its descent, minus its smallest marginal.
     """
     methods = tuple(methods)
     rules = methods + (() if ScoreMethod.MCI in methods else (ScoreMethod.MCI,))
     subgames = [m for m in methods if m in _SUBGAME_RULES] if table.n > 1 else []
-    shares = _shapley_shares(table) if ScoreMethod.SHAPLEY in subgames else None
+    sums = _shapley_share_sums(table) if ScoreMethod.SHAPLEY in subgames else None
     columns: dict[ScoreMethod, tuple[np.ndarray, np.ndarray | None]] = {}
-    descents, tops = [], []
+    descents = []
     rises: dict[ScoreMethod, list] = {m: [] for m in methods}
     # MCI is always among the rules, so every feature's marginals come back.
     for f, diffs in enumerate(_walk(table.values[None], table.n, rules, columns)):
         diffs = diffs[0]
         descents.append(_descent(table.values, f, diffs))
-        active = any(abs(columns[m][0][0, f]) > tol.absolute for m in methods)
-        tops.append(float(np.max(np.abs(diffs))) if active else None)
         for m in subgames:
-            rises[m].append(_rise(f, _subgame_scores(m, table, f, diffs, shares)))
+            in_subgames = diffs if m is ScoreMethod.ABLATION else _marginals(sums, table.n, f)
+            rises[m].append(_rise(f, in_subgames))
     vectors = _first_vectors(columns)
     reference = vectors[ScoreMethod.MCI].scores
+    tops = [max(abs(float(s)), abs(d)) for s, (d, _) in zip(reference, descents)]
     pairs = _interchangeable(table, tol)
     magnitude, top = np.abs(table.values), tops.__getitem__
     rows = [

@@ -133,8 +133,7 @@ def _weighted_row_sums(diffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _score_rows(
-    method: ScoreMethod, values: np.ndarray, f: int,
-    diffs: np.ndarray | None, weights: np.ndarray | None,
+    method: ScoreMethod, values: np.ndarray, n: int, f: int, diffs: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Feature f's score in each row of ``values``, a stack of tables of
     2^n entries each, and under MCI the index of each row's witness in its
@@ -145,8 +144,7 @@ def _score_rows(
     if method is ScoreMethod.ABLATION:
         return values[:, full] - values[:, full ^ bit], None
     if method is ScoreMethod.SHAPLEY:
-        assert weights is not None and diffs is not None
-        return _weighted_row_sums(diffs, weights), None
+        return _weighted_row_sums(diffs, _shapley_context_weights(n)), None
     if method is ScoreMethod.MCI:
         # argmax picks each row's first maximizer; contexts run in ascending
         # mask order, so that is the lowest-bitmask witness. The score is
@@ -156,9 +154,13 @@ def _score_rows(
     raise TableError(f"unhandled method {method!r}")
 
 
+@functools.cache
 def _shapley_context_weights(n: int) -> np.ndarray:
-    """Shapley weight of each context of a feature, in :func:`_marginals` order."""
-    return shapley_weights(n)[np.bitwise_count(np.arange(1 << (n - 1)))]
+    """Shapley weight of each context of a feature, in :func:`_marginals` order;
+    built once per n, one read-only array for every caller."""
+    weights = shapley_weights(n)[np.bitwise_count(np.arange(1 << (n - 1)))]
+    weights.setflags(write=False)
+    return weights
 
 
 def _walk(values: np.ndarray, n: int, rules: tuple[ScoreMethod, ...], columns: _Columns):
@@ -167,7 +169,6 @@ def _walk(values: np.ndarray, n: int, rules: tuple[ScoreMethod, ...], columns: _
     shape (k, n), and MCI's witness contexts, else None. Once column f is
     filled, yield feature f's marginals, shape (k, 2^(n-1)), or None
     unless a rule reads them."""
-    weights = _shapley_context_weights(n) if ScoreMethod.SHAPLEY in rules else None
     reads = not {*rules}.isdisjoint(_MARGINAL_RULES)
     shape = (values.shape[0], n)
     for m in rules:
@@ -176,7 +177,7 @@ def _walk(values: np.ndarray, n: int, rules: tuple[ScoreMethod, ...], columns: _
         diffs = _marginals(values, n, f) if reads else None
         for m in rules:
             scores, witnesses = columns[m]
-            scores[:, f], best = _score_rows(m, values, f, diffs, weights)
+            scores[:, f], best = _score_rows(m, values, n, f, diffs)
             if witnesses is not None:
                 witnesses[:, f] = _context_mask(best, f)
         yield diffs
@@ -213,8 +214,7 @@ def score(method: ScoreMethod, table: ValueTable, f: int) -> float:
         raise TableError(f"feature index {f} out of range for n={table.n}")
     values = table.values[None]
     diffs = _marginals(values, table.n, f) if method in _MARGINAL_RULES else None
-    weights = _shapley_context_weights(table.n) if method is ScoreMethod.SHAPLEY else None
-    return float(_score_rows(method, values, f, diffs, weights)[0][0])
+    return float(_score_rows(method, values, table.n, f, diffs)[0][0])
 
 
 def score_vector(method: ScoreMethod, table: ValueTable) -> ImportanceVector:

@@ -77,6 +77,19 @@ def test_every_rule_subset_matches_the_per_check_oracle(methods):
         assert repr(rows) == repr(audit_oracle.space_rows(space, methods, tol))
 
 
+@pytest.mark.parametrize("zeros", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)])
+def test_triviality_bound_comes_from_the_larger_of_mci_and_descent(zeros):
+    # Feature 0's marginals are 0 and -3: its MCI score is 0, while
+    # ablation scores it -3 and Shapley -1.5, so its largest |marginal|
+    # is its descent.
+    table = sepsets.ValueTable(2, [*zeros, 1.0, -2.0])
+    for tol in (Tolerance(1e-9), Tolerance(2.0)):
+        for k in range(1, 5):
+            for methods in itertools.combinations(ALL_METHODS, k):
+                rows, _ = audit_table(table, "table", methods, tol)
+                assert repr(rows) == repr(audit_oracle.audit_rows(table, "table", methods, tol))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(1, 10),

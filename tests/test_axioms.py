@@ -35,6 +35,7 @@ from sepsets import (
 from sepsets import axioms
 from sepsets.axioms import Witness, report_rows_markdown
 from sepsets.scenarios import demo_mci_nonlinearity
+from sepsets.subset_algebra import _marginals
 
 from conftest import block_additive_table, random_blocks, random_table, seeded_table
 from exact import shapley_subgames_exact, subset_sums_exact, with_f_shares, zeta_exact
@@ -193,20 +194,27 @@ def test_shapley_subgames_within_their_rounding_bound_of_the_exact_ones(n, seed,
     with u = 2^-53. B sums ζ|v|(W)/|W| over the W of the subgame that
     contain f, where ζ|v|(W) is the sum of |v(T)| over the T inside W.
 
-    Each computed dividend is within 2·n·u·ζ|v|(W) of d(W), the bound that
+    The score in the subgame on S is Z(S) - Z(S - f), Z the one zeta
+    transform of the shares. Each computed dividend is within 2·n·u·ζ|v|(W)
+    of d(W), the bound that
     test_mobius_within_the_rounding_bound_of_the_exact_dividends holds, and
     |d(W)| <= ζ|v|(W). Dividing by |W| rounds once more, so each share is
-    within (2n + 1)·u·ζ|v|(W)/|W| of d(W)/|W| to first order. The subgame
-    pass adds at most 2^(n-1) shares in n - 1 passes, so each share meets
-    at most n - 1 additions: γ_(n-1) times the sum of the shares'
-    magnitudes (Higham, ch. 4), (n - 1)·u·B to first order. That is 3n·u·B
-    in all, and at n <= 8 the second-order terms stay far below u·B.
+    within (2n + 1)·u·ζ|v|(W)/|W| of d(W)/|W| to first order. A share
+    without f enters both entries, so its error cancels; the shares with f
+    give (2n + 1)·u·B. In the transform (Higham, ch. 4) each share meets at
+    most n additions in Z(S) and n - 1 in Z(S - f). The shares without f
+    enter both, and their magnitudes sum to at most 2B, since
+    ζ|v|(W) <= ζ|v|(W + f) and |W + f| <= 2|W|. So the transform gives at
+    most n·u·B + (2n - 1)·u·2B, and the final subtraction u·B: 7n·u·B in
+    all to first order. The (3n + 1)·u·B held here is tighter than that
+    derivation, so it is held by measurement only: over 950 random cases
+    drawn as these are, the worst error seen was 2.19·u·B.
     """
     table = ValueTable(n, seeded_table(n, seed, integers).values * 10.0**k)
-    shares = axioms._shapley_shares(table)
+    sums = axioms._shapley_share_sums(table)
     magnitudes = zeta_exact(np.abs(table.values))
     for f in range(n):
-        got = axioms._subgame_scores(ScoreMethod.SHAPLEY, table, f, None, shares).tolist()
+        got = _marginals(sums, n, f).tolist()
         want = shapley_subgames_exact(table.values, f)
         spread = subset_sums_exact(with_f_shares(magnitudes, f))
         bound = [(3 * n + 1) * Fraction(2**-53) * b for b in spread]

@@ -1183,6 +1183,15 @@ _DIVIDEND_OVERFLOW = "interaction dividends overflow the float range"
             "monotonicity residual overflows the float range",
             id="audit-mci-residual overflow",
         ),
+        # The dividends are finite, but feature 0's ablation and Shapley
+        # scores overflow, as do the monotonicity and both elimination
+        # residuals: the scores are checked before any row is built.
+        pytest.param(
+            ["audit"],
+            [0, -1e308, 1.7e308, -9e307],
+            "scores must be finite",
+            id="audit-scores must be finite",
+        ),
     ],
 )
 def test_overflow_gives_one_error_line_and_no_warnings(capsys, tmp_path, argv, values, message):
@@ -1193,6 +1202,16 @@ def test_overflow_gives_one_error_line_and_no_warnings(capsys, tmp_path, argv, v
         code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
     assert [str(w.message) for w in caught] == []
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_audit_reports_the_first_overflowing_row_in_row_order(capsys, tmp_path):
+    # Every score is finite, and the minimalism row of ablation comes
+    # before the elimination rows, whose residuals overflow too.
+    path = tmp_path / "huge.json"
+    values = [0.0, 1.7e308, -5e307, 1.0, 9e307, 1e308, 5e307, -5e307]
+    path.write_text(json.dumps({"n": 3, "values": values}))
+    code, out, err = run(capsys, ["audit", str(path)])
+    assert (code, out, err) == (1, "", "error: minimalism residual overflows the float range\n")
 
 
 @st.composite
