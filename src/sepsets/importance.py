@@ -113,23 +113,34 @@ _MARGINAL_RULES = (ScoreMethod.SHAPLEY, ScoreMethod.MCI)
 # witness contexts, else None: what one walk over the features fills.
 _Columns = dict[ScoreMethod, tuple[np.ndarray, np.ndarray | None]]
 
-# Entries per run of the Shapley reduction, and in its one scratch buffer.
-# numpy sums each run pairwise and the run sums are added in order, so a
-# row's bits do not depend on the other rows of its stack.
+# Entries per run of the Shapley reduction. numpy sums each run pairwise
+# and the run sums are added in order, so a row's bits do not depend on
+# the other rows of its stack.
 _SUM_RUN = 1 << 13
+# Runs per multiply into the one scratch buffer.
+_SCRATCH_RUNS = 8
 
 
 def _weighted_row_sums(diffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``(diffs * weights).sum(axis=1)`` for a (k, m) stack, in runs of ``_SUM_RUN``."""
-    width = min(diffs.shape[1], _SUM_RUN)
-    rows = _SUM_RUN // width
-    sums, scratch = np.zeros(len(diffs)), np.empty((rows, width))
-    for r in range(0, len(diffs), rows):
-        for c in range(0, diffs.shape[1], width):
-            run = diffs[r : r + rows, c : c + width]
-            np.multiply(run, weights[c : c + width], out=scratch[: len(run)])
-            sums[r : r + rows] += scratch[: len(run)].sum(axis=1)
-    return sums
+    """``(diffs * weights).sum(axis=1)`` for a (k, m) stack, in runs of
+    ``_SUM_RUN``: each run summed pairwise, and a row's run sums added
+    left to right from 0.0."""
+    k, m = diffs.shape
+    width = min(m, _SUM_RUN)
+    runs = m // width
+    # Each multiply takes up to _SCRATCH_RUNS runs of one row, or whole
+    # rows of fewer runs.
+    cols = min(runs, _SCRATCH_RUNS)
+    rows = max(1, _SCRATCH_RUNS * _SUM_RUN // (cols * width))
+    parts, scratch = np.zeros((k, runs + 1)), np.empty(rows * cols * width)
+    stack, spread = diffs.reshape(k, runs, width), weights.reshape(runs, width)
+    for r in range(0, k, rows):
+        for c in range(0, runs, cols):
+            run = stack[r : r + rows, c : c + cols]
+            product = scratch[: run.size].reshape(run.shape)
+            np.multiply(run, spread[c : c + cols], out=product)
+            parts[r : r + rows, 1 + c : 1 + c + cols] = product.sum(axis=-1)
+    return np.cumsum(parts, axis=1)[:, -1]
 
 
 def _score_rows(

@@ -3,12 +3,13 @@ once into a value table or a sample space; the dict forms of a value
 table, a sample space and a partition are what their JSON files hold;
 ``table_json`` writes table files.
 
-A JSON value table of plain numbers is checked in one byte pass and read
-in blocks by ``_block_table``, straight into one float64 array. orjson
-parses every other JSON document whole, and Python's json reads those
-orjson rejects or is not trusted with. ``_json_reals`` packs the parsed
-numbers into the array that keeps them: a table's own array, or an
-instance's row of a sample space's stack. orjson reads a CSV body of
+A JSON value table of plain numbers is read in blocks by
+``_block_table``, straight into one float64 array, after a few byte
+searches; the block parse itself proves the list held only numbers.
+orjson parses every other JSON document whole, and Python's json reads
+those orjson rejects or is not trusted with. ``_json_reals`` packs the
+parsed numbers into the array that keeps them: a table's own array, or
+an instance's row of a sample space's stack. orjson reads a CSV body of
 plain numbers in blocks of lines, and the csv module's row walk reads
 every other CSV file. Each fast path declines what it might read
 otherwise, so every value and every error line is the reference parser's.
@@ -163,19 +164,11 @@ def _read_json(
     return build(_stdlib_loads(path, raw))
 
 
-# The bytes a table body may hold for orjson to read it in blocks: those
-# of JSON numbers, the comma and the blanks and line ends JSON allows.
-_JSON_NUMBER_BYTES = b"0123456789+-.eE, \t\r\n"
-
 # Values per orjson call on a table body, and per struct call in
 # _json_reals. One call on a whole 2^20 body holds every value as a
 # Python float at once, 32 MB more at peak, and one struct call takes
 # its values as one tuple of arguments.
 _BLOCK_VALUES = 1 << 14
-
-# Bytes per translate call in the scan for the skeleton: one call on a
-# whole file copies it. A sample space is declined within its first piece.
-_SCAN_BYTES = 1 << 16
 
 
 def _block_table(raw: bytes) -> ValueTable | None:
@@ -183,26 +176,27 @@ def _block_table(raw: bytes) -> ValueTable | None:
     ``_BLOCK_VALUES`` values straight into one float64 array; None where
     the whole-document parse must decide.
 
-    One pass deletes the number bytes. What is left, the skeleton, must
-    hold one "[" and one "]", next to each other, so the list's body is
-    all number bytes. orjson parses the shell, ``raw`` with that body cut
-    out: an object with one "values" key, whose value is that empty list,
-    and whose "n" passes the feature cap. The body is cut at commas into
-    blocks, each read as ``[block]`` and packed as doubles. A block of
-    number bytes that orjson reads to a nonempty list lies between two
-    commas that separate values, so the blocks hold the whole list. Any
-    other document, a count other than 2^n, or a value that is not finite
-    goes to the whole parse, so every value and error line is its own.
+    The shell is ``raw`` with the list's body cut out: the body lies
+    between the file's first "[" and its last "]", and the shell must
+    hold no other bracket. orjson parses the shell, which must be an
+    object with one "values" key, whose value is that empty list, and
+    whose "n" passes the feature cap. The body must hold no "t" or "f".
+    It is cut at commas into blocks, each read as ``[block]`` and packed
+    as doubles. A string, null, object or list fails the packing, and
+    with no "t" or "f" no item is true or false, which would pack as 1.0
+    and 0.0. So every block that is read holds only numbers, and a list
+    of numbers is number text, commas and blanks (RFC 8259 section 5):
+    the body holds no bracket, so the file holds one "[" and one "]" and
+    the body was the whole "values" list; and no cut fell inside a
+    value, so the blocks hold that list in order. Any other document, a
+    count other than 2^n, or a value that is not finite goes to the
+    whole parse, so every value and error line is its own.
     """
-    pieces, brackets = [], 0
-    for at in range(0, len(raw), _SCAN_BYTES):
-        pieces.append(raw[at : at + _SCAN_BYTES].translate(None, _JSON_NUMBER_BYTES))
-        brackets += pieces[-1].count(b"[") + pieces[-1].count(b"]")
-        if brackets > 2:
-            return None
-    if brackets != 2 or b"[]" not in b"".join(pieces):
-        return None
     start, end = raw.find(b"["), raw.rfind(b"]")
+    if not 0 <= start < end or raw.find(b"]", 0, start) >= 0 or raw.find(b"[", end) >= 0:
+        return None
+    if raw.find(b"t", start, end) >= 0 or raw.find(b"f", start, end) >= 0:
+        return None
     shell = raw[: start + 1] + raw[end:]
     if shell.count(b'"values"') != 1 or not _few_openers(shell):
         return None
@@ -225,7 +219,8 @@ def _block_table(raw: bytes) -> ValueTable | None:
             # The bytes between the comma or "[" before the block and the
             # comma or "]" after it.
             items = orjson.loads(b"".join((b"[", view[start + 1 : cut], b"]")))
-            # A struct.error: past the end of the array, or not a float.
+            # A struct.error: past the end of the array, or a string, null,
+            # object or list.
             struct.pack_into(f"{len(items)}d", values, 8 * filled, *items)
         except (ValueError, struct.error):
             return None

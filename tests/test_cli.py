@@ -926,13 +926,21 @@ def test_many_brackets_never_reach_orjson(capsys, tmp_path, monkeypatch):
 
 
 # A value table in each layout the block reader must read: json.dumps,
-# table_json's indent=2, and "values" before "n" with no blanks.
+# table_json's indent=2, "values" before "n" with no blanks, and a "t"
+# and an "f" in a string of the shell, before or after the list, where
+# the reader does not search for them.
 _LAYOUTS = {
     "compact": lambda n, cells: '{"n": %d, "values": [%s]}' % (n, ", ".join(cells)),
     "indented": lambda n, cells: (
         '{\n  "n": %d,\n  "values": [\n    %s\n  ]\n}\n' % (n, ",\n    ".join(cells))
     ),
     "values-first": lambda n, cells: '{"values": [%s],"n":%d}' % (",".join(cells), n),
+    "noted-before": lambda n, cells: (
+        '{"note": "true false", "n": %d, "values": [%s]}' % (n, ", ".join(cells))
+    ),
+    "noted-after": lambda n, cells: (
+        '{"n": %d, "values": [%s], "note": "true false"}' % (n, ", ".join(cells))
+    ),
 }
 
 # An integer -0, integers, values at the ends of the float range, and
@@ -983,7 +991,8 @@ _DECLINED = {
             ("plus", "+1"), ("leading-dot", ".5"), ("trailing-dot", "1."),
             ("leading-zero", "01"), ("bare-exponent", "1e"), ("nan", "NaN"),
             ("past-the-range", "1e400"), ("wide-past-the-range", "1" + "0" * 400),
-            ("string", '"1"'), ("true", "true"),
+            ("string", '"1"'), ("true", "true"), ("null", "null"), ("object", '{"x": 1}'),
+            ("string-with-a-comma", '"1,2"'),
         ]
     },
     "double-comma": '{"n": 2, "values": [0, 0,, 0, 0]}',
@@ -1004,15 +1013,16 @@ _DECLINED = {
     "float-n": '{"n": 2.0, "values": [0, 0, 0, 0]}',
     "over-cap": '{"n": 21, "values": [0, 0, 0, 0]}',
     "bare-list": "[0, 0, 0, 0]",
-    # The scan for the skeleton: brackets in strings of the shell, a "]"
-    # before the "[", a second list, "values" not holding the list, and a
-    # boolean, which would pack as a float, in the first or the last block.
+    # Brackets in strings of the shell, a "]" before the "[", a second
+    # list, "values" not holding the list, and a boolean, which would pack
+    # as a float, in the first, a middle or the last block.
     "open-bracket-in-a-string-before": '{"note": "[", "n": 2, "values": [0, 0, 0, 0]}',
     "close-bracket-in-a-string-before": '{"note": "]", "n": 2, "values": [0, 0, 0, 0]}',
     "close-before-open": '{"n": 2, "note": "]", "values": "[0, 0, 0, 0"}',
     "second-array-before": '{"blocks": [0], "n": 2, "values": [0, 0, 0, 0]}',
     "list-inside-values": '{"n": 2, "values": {"x": [0, 0, 0, 0]}}',
     "true-in-the-first-block": _LAYOUTS["compact"](4, ["true"] + ["0"] * 15),
+    "false-in-a-middle-block": _LAYOUTS["compact"](4, ["0"] * 7 + ["false"] + ["0"] * 8),
     "false-in-the-last-block": _LAYOUTS["compact"](4, ["0"] * 15 + ["false"]),
 }
 
@@ -1024,20 +1034,6 @@ def test_block_reader_declines_what_it_might_read_otherwise(monkeypatch, name, b
     raw = _DECLINED[name].encode()
     assert inputs._block_table(raw) is None
     assert _table_read(raw) == _whole_read(raw, monkeypatch)
-
-
-@pytest.mark.parametrize("scan_bytes", [1, 2, 7])
-def test_the_skeleton_scan_decides_alike_in_pieces_of_any_size(monkeypatch, scan_bytes):
-    monkeypatch.setattr(inputs, "_BLOCK_VALUES", 1)
-    monkeypatch.setattr(inputs, "_SCAN_BYTES", scan_bytes)
-    for layout in _LAYOUTS.values():
-        raw = layout(4, _EDGE_CELLS).encode()
-        assert inputs._block_table(raw) is not None
-        assert _table_read(raw) == _whole_read(raw, monkeypatch)
-    for text in _DECLINED.values():
-        raw = text.encode()
-        assert inputs._block_table(raw) is None
-        assert _table_read(raw) == _whole_read(raw, monkeypatch)
 
 
 # Integer and float zeros of both signs, an odd integer past 2^53, the
@@ -1087,7 +1083,14 @@ def test_block_edges_next_to_the_table_file_line_breaks(monkeypatch, n):
     assert _table_read(raw) == _whole_read(raw, monkeypatch)
 
 
-def _in_float_range(cell):
+# Cells that are not numbers, spliced into random bodies: the block
+# reader must decline each, whichever block it falls in.
+_NOT_NUMBERS = ["null", '{"x": 1}', '"1,2"', "true", "false"]
+
+
+def _a_packable_number(cell):
+    if cell in _NOT_NUMBERS:
+        return False
     try:
         float(int(cell))
     except ValueError:  # a float's repr
@@ -1106,7 +1109,8 @@ def _in_float_range(cell):
             st.floats(allow_nan=False, allow_infinity=False).map(repr)
             | st.integers().map(str)
             | st.integers(2**64, 2**1100).map(lambda k: f"-{k}")
-            | st.just("-0"),
+            | st.just("-0")
+            | st.sampled_from(_NOT_NUMBERS),
             min_size=1 << n,
             max_size=1 << n,
         )
@@ -1123,8 +1127,9 @@ def test_block_reader_matches_the_whole_parse_on_random_tables(
         fast = _table_read(raw)
         read = inputs._block_table(raw) is not None
     assert fast == _whole_read(raw, monkeypatch)
-    # Only an integer past the float range sends a table of numbers on.
-    assert read == all(map(_in_float_range, cells))
+    # Only a cell that is not a number, or an integer past the float
+    # range, sends a table on.
+    assert read == all(map(_a_packable_number, cells))
 
 
 def test_reading_a_table_holds_under_two_tables_beyond_the_file(tmp_path):
