@@ -294,33 +294,34 @@ def space_from_dict(payload: dict) -> SampleSpace:
     # No row past the first instance of the wrong length, which is refused.
     fits = [isinstance(r["values"], (list, tuple)) and len(r["values"]) == 1 << n for r in rows]
     values = np.empty(((fits + [False]).index(False), 1 << n))
-    if len(values) == len(rows):
-        # Instances are packed in runs of about _BLOCK_VALUES values, at least
-        # one instance each. On an error the loop below packs instance by
-        # instance, to find and word it.
-        per, flat = max(1, _BLOCK_VALUES >> n), values.reshape(-1)
-        try:
-            for at in range(0, len(rows), per):
-                cells = []
-                for row in rows[at : at + per]:
-                    cells += row["values"]
+    # Instances are packed in runs of about _BLOCK_VALUES values, at least one
+    # instance each. A run that fails, or that holds the first instance of the
+    # wrong length, is packed instance by instance to find and word the error.
+    per, flat = max(1, _BLOCK_VALUES >> n), values.reshape(-1)
+    for at in range(0, len(rows), per):
+        run = rows[at : at + per]
+        if at + len(run) <= len(values):
+            cells = []
+            for row in run:
+                cells += row["values"]
+            try:
                 _json_reals(cells, "value", flat[at << n : (at << n) + len(cells)])
-        except TableError:
-            pass
-        else:
-            return SampleSpace(n, weights, values)
-    for i, row in enumerate(rows):
-        cells = row["values"]
-        try:
-            if not isinstance(cells, (list, tuple)):
-                raise TableError('"values" must be a list of reals in mask order')
-            # An instance of the wrong length is packed apart: its type and range errors come first.
-            _json_reals(cells, "value", values[i] if i < len(values) else np.empty(len(cells)))
-            if i == len(values):
-                raise TableError(f"expected {1 << n} values for n={n}, got shape {(len(cells),)}")
-        except TableError as exc:
-            _check_finite(values[:i])  # an earlier instance that is not finite comes first
-            raise TableError(f"instance {i}: {exc}") from None
+                continue
+            except TableError:
+                pass
+        for i, row in enumerate(run, at):
+            cells = row["values"]
+            try:
+                if not isinstance(cells, (list, tuple)):
+                    raise TableError('"values" must be a list of reals in mask order')
+                # A wrong-length instance is packed apart: its type and range errors come first.
+                _json_reals(cells, "value", values[i] if i < len(values) else np.empty(len(cells)))
+                if i == len(values):
+                    shape = (len(cells),)
+                    raise TableError(f"expected {1 << n} values for n={n}, got shape {shape}")
+            except TableError as exc:
+                _check_finite(values[:i])  # an earlier instance that is not finite comes first
+                raise TableError(f"instance {i}: {exc}") from None
     return SampleSpace(n, weights, values)
 
 
@@ -338,9 +339,14 @@ def partition_from_dict(payload: dict) -> Partition:
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise PartitionError('"blocks" must be a list of index lists')
     for k, block in enumerate(blocks):
+        seen: set[int] = set()
         for i in block:
             if not isinstance(i, int) or isinstance(i, bool):
                 raise PartitionError(f"block {k}: feature index {i!r} is not an integer")
+            # A repeat would vanish in the block's bitmask.
+            if i in seen:
+                raise PartitionError(f"block {k}: feature index {i} appears more than once")
+            seen.add(i)
     return Partition.from_indices(n, blocks)
 
 

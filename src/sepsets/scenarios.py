@@ -107,12 +107,8 @@ class ScenarioReport:
         raise KeyError(f"no claim named {name!r}")
 
 
-def _listify(arr: np.ndarray) -> list[float]:
-    return [float(x) for x in arr]
-
-
 def _listed(vectors: dict[ScoreMethod, ImportanceVector]) -> dict[str, list[float]]:
-    return {m.value: _listify(v.scores) for m, v in vectors.items()}
+    return {m.value: v.scores.tolist() for m, v in vectors.items()}
 
 
 def demo_mci_nonlinearity(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
@@ -141,13 +137,13 @@ def demo_mci_nonlinearity(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
 
     claims = (
         Claim("mci_of_first", bool(np.array_equal(mci_first, [1.0, 2.0])),
-              _listify(mci_first), [1.0, 2.0]),
+              mci_first.tolist(), [1.0, 2.0]),
         Claim("mci_of_second", bool(np.array_equal(mci_second, [1.0, 1.0])),
-              _listify(mci_second), [1.0, 1.0]),
+              mci_second.tolist(), [1.0, 1.0]),
         Claim("mci_of_mixture", bool(np.array_equal(mci_mixed, [0.5, 1.0])),
-              _listify(mci_mixed), [0.5, 1.0]),
+              mci_mixed.tolist(), [0.5, 1.0]),
         Claim("mean_of_mci_scores", bool(np.array_equal(mean_of_scores, [1.0, 1.5])),
-              _listify(mean_of_scores), [1.0, 1.5]),
+              mean_of_scores.tolist(), [1.0, 1.5]),
         Claim(
             "mci_mixture_gap_at_least_half",
             margin >= 0.5,
@@ -169,9 +165,9 @@ def demo_mci_nonlinearity(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
         name="mci_nonlinearity",
         inputs={"alpha": alpha},
         tables={
-            "first": _listify(first.values),
-            "second": _listify(second.values),
-            "mixture": _listify(mixed.values),
+            "first": first.values.tolist(),
+            "second": second.values.tolist(),
+            "mixture": mixed.values.tolist(),
         },
         scores={"first": _listed(s1), "second": _listed(s2), "mixture": _listed(s12)},
         axiom_rows=(
@@ -204,122 +200,96 @@ def demo_twin_features(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     support = Dataset(
         np.array([[lo, lo], [hi, hi]]), np.array([lo, hi]), np.array([0.5, 0.5])
     )
-    m0_support = support.X[:, 0]
-    m1_support = support.X[:, 1]
-    miss0 = float(np.max(np.abs(m0_support - support.y)))
-    miss1 = float(np.max(np.abs(m1_support - support.y)))
-
-    grid0 = OutcomeTable(((lo, hi), (lo, hi)), np.array([lo, lo, hi, hi]))
-    grid1 = OutcomeTable(((lo, hi), (lo, hi)), np.array([lo, hi, lo, hi]))
+    # Model k reads column k, and column 1 - k is its duplicate. On the grid,
+    # whose first feature varies slowest, model k outputs grid column k.
+    models = (0, 1)
+    grids = [
+        OutcomeTable(((lo, hi), (lo, hi)), np.array(outputs))
+        for outputs in ([lo, lo, hi, hi], [lo, hi, lo, hi])
+    ]
     uniform = np.full(4, 0.25)
+    weighted = [f"model{k}_data_weighted" for k in models]
+    gridded = [f"model{k}_grid" for k in models]
     tables = {
         "data": r2_value_table(support),
-        "model0_data_weighted": model_value_table(support, m0_support),
-        "model1_data_weighted": model_value_table(support, m1_support),
-        "model0_grid": r2_value_table(grid_to_dataset(grid0, uniform)),
-        "model1_grid": r2_value_table(grid_to_dataset(grid1, uniform)),
+        **{weighted[k]: model_value_table(support, support.X[:, k]) for k in models},
+        **{gridded[k]: r2_value_table(grid_to_dataset(grids[k], uniform)) for k in models},
     }
-    nu_m0_grid, nu_m1_grid = tables["model0_grid"], tables["model1_grid"]
-    vectors = {label: score_vectors(ALL_METHODS, t) for label, t in tables.items()}
+    labels = ("data", *gridded, *weighted)
+    vectors = {label: score_vectors(ALL_METHODS, tables[label]) for label in labels}
 
-    spread0 = null_feature_residual(grid0, 1)
-    spread1 = null_feature_residual(grid1, 0)
+    misses = [float(np.max(np.abs(support.X[:, k] - support.y))) for k in models]
+    spreads = [null_feature_residual(grids[k], 1 - k) for k in models]
     axiom_rows: list[tuple[str, AxiomReport]] = []
-    claims: list[Claim] = [
-        Claim("model0_perfect_on_support", miss0 == 0.0, miss0, 0.0),
-        Claim("model1_perfect_on_support", miss1 == 0.0, miss1, 0.0),
+    claims = [
+        Claim(f"model{k}_perfect_on_support", misses[k] == 0.0, misses[k], 0.0) for k in models
+    ]
+    claims += [
         Claim(
-            "duplicate_null_for_model0",
-            spread0 == 0.0,
-            spread0,
+            f"duplicate_null_for_model{k}",
+            spreads[k] == 0.0,
+            spreads[k],
             0.0,
-            note="model 0 output never depends on feature 1 anywhere on the grid",
-        ),
-        Claim(
-            "duplicate_null_for_model1",
-            spread1 == 0.0,
-            spread1,
-            0.0,
-            note="model 1 output never depends on feature 0 anywhere on the grid",
-        ),
+            note=f"model {k} output never depends on feature {1 - k} anywhere on the grid",
+        )
+        for k in models
     ]
 
     for m in ALL_METHODS:
-        g0, g1 = vectors["model0_grid"][m], vectors["model1_grid"][m]
-        nf0 = check_null_feature(grid0, vectors["model0_data_weighted"][m], 1, tol)
-        nf1 = check_null_feature(grid1, vectors["model1_data_weighted"][m], 0, tol)
-        axiom_rows.append((f"null_feature[{m.value},model0,data-weighted]", nf0))
-        axiom_rows.append((f"null_feature[{m.value},model1,data-weighted]", nf1))
-
-        # Both models are perfect on the data, so equivalence applies to each.
         data = vectors["data"][m].scores
-        dme0 = _largest_gap("data_model_equivalence", g0.scores, data, tol)
-        dme1 = _largest_gap("data_model_equivalence", g1.scores, data, tol)
-        axiom_rows.append((f"data_model_equivalence[{m.value},model0,grid]", dme0))
-        axiom_rows.append((f"data_model_equivalence[{m.value},model1,grid]", dme1))
-
-        weighted = vectors["model0_data_weighted"][m].scores
-        dme_data = _largest_gap("data_model_equivalence", weighted, data, tol)
+        grid = [vectors[label][m] for label in gridded]
+        nf, dme, triv = [], [], []
+        for k in models:
+            nf.append(check_null_feature(grids[k], vectors[weighted[k]][m], 1 - k, tol))
+            # Both models are perfect on the data, so equivalence applies to each.
+            dme.append(_largest_gap("data_model_equivalence", grid[k].scores, data, tol))
+            triv.append(check_triviality(tables[gridded[k]], grid[k], tol))
+        axiom_rows += [(f"null_feature[{m.value},model{k},data-weighted]", nf[k]) for k in models]
+        axiom_rows += [(f"data_model_equivalence[{m.value},model{k},grid]", dme[k]) for k in models]
+        weighted_scores = vectors[weighted[0]][m].scores
+        dme_data = _largest_gap("data_model_equivalence", weighted_scores, data, tol)
         axiom_rows.append((f"data_model_equivalence[{m.value},model0,data-weighted]", dme_data))
-
-        nf_grid = check_null_feature(grid0, g0, 1, tol)
+        nf_grid = check_null_feature(grids[0], grid[0], 1, tol)
         axiom_rows.append((f"null_feature[{m.value},model0,grid]", nf_grid))
-
-        triv0 = check_triviality(nu_m0_grid, g0, tol)
-        triv1 = check_triviality(nu_m1_grid, g1, tol)
-        axiom_rows.append((f"triviality[{m.value},model0,grid]", triv0))
-        axiom_rows.append((f"triviality[{m.value},model1,grid]", triv1))
+        axiom_rows += [(f"triviality[{m.value},model{k},grid]", triv[k]) for k in models]
 
         broken = []
-        if not nf0.passed or not nf1.passed:
+        if not all(r.passed for r in nf):
             broken.append("null_feature")
-        if not dme0.passed or not dme1.passed:
+        if not all(r.passed for r in dme):
             broken.append("data_model_equivalence")
-        claims.append(
+        claims += [
             Claim(
                 f"axiom_breaks[{m.value}]",
                 bool(broken),
                 broken,
                 note="axioms failing under at least one table construction",
-            )
-        )
-        claims.append(
+            ),
             Claim(
                 f"triviality_holds_on_model_tables[{m.value}]",
-                triv0.passed and not triv0.vacuous and triv1.passed and not triv1.vacuous,
-            )
-        )
-        claims.append(
+                all(r.passed and not r.vacuous for r in triv),
+            ),
             Claim(
                 f"perfect_models_disagree[{m.value}]",
-                bool(np.max(np.abs(g0.scores - g1.scores)) > tol.absolute),
-                _listify(g0.scores),
-                _listify(g1.scores),
+                bool(np.max(np.abs(grid[0].scores - grid[1].scores)) > tol.absolute),
+                grid[0].scores.tolist(),
+                grid[1].scores.tolist(),
                 note="scores of the two perfect models, grid construction",
-            )
-        )
+            ),
+        ]
 
     claims.append(
         Claim(
             "model_tables_nonzero",
-            bool(
-                np.max(np.abs(nu_m0_grid.values)) > tol.absolute
-                and np.max(np.abs(nu_m1_grid.values)) > tol.absolute
-            ),
+            all(np.max(np.abs(tables[label].values)) > tol.absolute for label in gridded),
         )
     )
 
     return ScenarioReport(
         name="twin_features",
         inputs={"signal_domain": [lo, hi], "grid_weights": "uniform"},
-        tables={label: _listify(t.values) for label, t in tables.items()},
-        scores={
-            "data": _listed(vectors["data"]),
-            "model0_grid": _listed(vectors["model0_grid"]),
-            "model1_grid": _listed(vectors["model1_grid"]),
-            "model0_data_weighted": _listed(vectors["model0_data_weighted"]),
-            "model1_data_weighted": _listed(vectors["model1_data_weighted"]),
-        },
+        tables={label: t.values.tolist() for label, t in tables.items()},
+        scores={label: _listed(v) for label, v in vectors.items()},
         axiom_rows=tuple(axiom_rows),
         claims=tuple(claims),
     )
@@ -456,9 +426,9 @@ def demo_collider(
             "p_cancer": list(params.p_cancer),
         },
         tables={
-            "earache_only": _listify(t1.values),
-            "gum_only": _listify(t2.values),
-            "earache_and_gum": _listify(t3.values),
+            "earache_only": t1.values.tolist(),
+            "gum_only": t2.values.tolist(),
+            "earache_and_gum": t3.values.tolist(),
         },
         scores={"earache_and_gum": _listed(setting3)},
         axiom_rows=(),
@@ -489,7 +459,7 @@ def demo_toy_separable(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     partition = maximal_partition(table, tol)
     meta = induced_meta_table(table, partition, tol)
     grouped = {
-        m.value: _listify(grouped_score_vector(m, table, partition)) for m in ALL_METHODS
+        m.value: grouped_score_vector(m, table, partition).tolist() for m in ALL_METHODS
     }
     block_values = [float(table.values[b]) for b in partition.blocks]
     grouped_ok = all(
@@ -503,7 +473,7 @@ def demo_toy_separable(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     symmetry = {m.value: check_symmetry(table, v, "z_pair", tol) for m, v in vectors.items()}
 
     claims = (
-        Claim("table_matches_expected", table_gap <= 1e-9, _listify(table.values), expected),
+        Claim("table_matches_expected", table_gap <= 1e-9, table.values.tolist(), expected),
         Claim(
             "duplicates_share_a_block",
             partition.block_indices() == ((0, 1), (2,)),
@@ -513,7 +483,7 @@ def demo_toy_separable(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
         Claim(
             "meta_table",
             bool(np.max(np.abs(meta.values - np.array([0.0, 0.5, 1 / 3, 5 / 6]))) <= 1e-9),
-            _listify(meta.values),
+            meta.values.tolist(),
             [0.0, 0.5, 1 / 3, 5 / 6],
         ),
         Claim(
@@ -543,8 +513,8 @@ def demo_toy_separable(tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
 
     return ScenarioReport(
         name="toy_separable",
-        inputs={"rows": [[float(v) for v in row] for row in X], "target": _listify(y)},
-        tables={"dataset": _listify(table.values), "meta": _listify(meta.values)},
+        inputs={"rows": X.tolist(), "target": y.tolist()},
+        tables={"dataset": table.values.tolist(), "meta": meta.values.tolist()},
         scores={"dataset": _listed(vectors), "grouped": grouped},
         axiom_rows=(
             ("elimination[ablation]", elimination),

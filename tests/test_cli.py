@@ -1567,6 +1567,29 @@ def test_invalid_tolerance_rejected(capsys, toy_table_file, tmp_path):
     assert not table_out.exists()
 
 
+def test_a_tolerance_that_is_no_number_is_refused(capsys):
+    code, out, err = run(capsys, ["demo", "collider", "--tol", "abc"])
+    assert (code, out, err) == (1, "", "error: argument --tol: invalid float value: 'abc'\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # Blank lines only: the fast reader finds no header, and neither does the walk.
+        ("\n \n,,\n", "need a header row and at least one data row"),
+        # A quoted header name past the csv module's field limit, with commas
+        # throughout, fails the fast reader's header read, and the walk's.
+        ('"' + "a," * 70000 + '",y\n1,2\n', "line 1: field larger than field limit (131072)"),
+    ],
+    ids=["blank-lines", "long-header-name"],
+)
+def test_a_csv_file_without_a_readable_header_is_refused(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, ["scores", str(path), "--target", "y"])
+    assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

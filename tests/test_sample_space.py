@@ -143,6 +143,42 @@ def test_space_reader_packs_instances_in_runs(monkeypatch, n, count, packs):
     assert space.values.tobytes() == values.tobytes()
 
 
+@pytest.mark.parametrize(
+    ("cells", "packs", "message"),
+    [
+        # The run of instances 4-7 fails, and only its instances are packed
+        # one at a time, up to the one at fault.
+        (
+            [0.0] * 5 + ["x"] + [0.0] * 4090,
+            [2**14, 2**14, 2**12, 2**12, 2**12],
+            "instance 6: value at index 5 must be a number, got 'x'",
+        ),
+        # The run that holds the instance of the wrong length is not packed whole.
+        (
+            [0.0] * 4095,
+            [2**14, 2**12, 2**12, 4095],
+            "instance 6: expected 4096 values for n=12, got shape (4095,)",
+        ),
+    ],
+    ids=["string", "short"],
+)
+def test_space_reader_walks_only_the_run_at_fault(monkeypatch, cells, packs, message):
+    sizes = []
+    original = inputs._json_reals
+
+    def counted(items, what, out):
+        sizes.append(len(items))
+        return original(items, what, out)
+
+    monkeypatch.setattr(inputs, "_json_reals", counted)
+    # Instances of 2^12 values: 4 to a run.
+    rows = [{"weight": 1, "values": [0.0] * 4096} for _ in range(10)]
+    rows[6]["values"] = cells
+    with pytest.raises(TableError) as caught:
+        space_from_dict({"n": 12, "instances": rows})
+    assert (sizes, str(caught.value)) == ([10, *packs], message)
+
+
 def test_mean_scores_read_the_stack_without_copying_it():
     rng = np.random.default_rng(0)
     space = SampleSpace(16, rng.uniform(0.1, 2.0, 64), rng.normal(size=(64, 1 << 16)))

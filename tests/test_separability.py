@@ -266,6 +266,19 @@ def test_partition_dict_rejects_non_integer_indices(index):
         partition_from_dict({"n": 2, "blocks": [[0], [index]]})
 
 
+@pytest.mark.parametrize(
+    "n, blocks, message",
+    [
+        (2, [[0, 0], [1]], "block 0: feature index 0 appears more than once"),
+        (3, [[0], [2, 1, 2]], "block 1: feature index 2 appears more than once"),
+    ],
+)
+def test_partition_dict_rejects_a_block_naming_a_feature_twice(n, blocks, message):
+    # The block's bitmask would drop the repeat and read [[0], [1]] or [[0], [1, 2]].
+    with pytest.raises(PartitionError, match=f"^{message}$"):
+        partition_from_dict({"n": n, "blocks": blocks})
+
+
 _LOADERS = {
     "table": (table_from_dict, lambda n: {"n": n, "values": [0.0] * 4}),
     "space": (
