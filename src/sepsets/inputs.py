@@ -5,29 +5,36 @@ table, a sample space and a partition are what their JSON files hold;
 
 A JSON value table of plain numbers is read in blocks by
 ``_block_table``, straight into one float64 array, after a few byte
-searches; the block parse itself proves the list held only numbers.
-orjson parses every other JSON document whole, and Python's json reads
-those orjson rejects or is not trusted with. ``_json_reals`` packs the
-parsed numbers into the array that keeps them: a table's own array, or
-an instance's row of a sample space's stack. orjson reads a CSV body of
-plain numbers in blocks of lines, and the csv module's row walk reads
-every other CSV file. Each fast path declines what it might read
+searches. A sample space whose instance lists hold 4 KiB or more (about
+200 values) is read by ``_block_space``, each instance's list straight
+into its row of one stack. Both read their lists with ``_read_lists``,
+whose block parse itself proves each list held only numbers, and orjson
+parses only the shell left around the lists. orjson parses every other
+JSON document whole when it nests at most 1024 deep, and Python's json
+reads those orjson rejects or is not trusted with. ``_json_reals`` packs
+the parsed numbers into the array that keeps them: a table's own array,
+or an instance's row of a sample space's stack; it looks at types only
+where a boolean may hide or an error needs wording. orjson reads a CSV
+body of plain numbers in blocks of lines, and the csv module's row walk
+reads every other CSV file. Each fast path declines what it might read
 otherwise, so every value and every error line is the reference parser's.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import io
 import itertools
 import json
 import numbers
+import operator
 import re
 import reprlib
 import struct
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 import orjson
@@ -94,11 +101,14 @@ def read_input(
     return Input(r2_value_table(data), digest, data.m, features, notes)
 
 
-# orjson 3.8 parses without a depth limit: an object nested 70,000 deep
-# overflows the C stack and kills the process. A document is handed to it
-# only when its count of "[" and "{" bytes, a bound on its depth, is at
-# most the depth past which newer orjson releases reject a document.
+# orjson 3.8 parses without a depth limit: an object nested 70,000 deep, or
+# a list nested 10^7 deep, overflows the C stack and kills the process. A
+# document is handed to it only when it nests at most as deep as newer
+# orjson releases accept.
 _ORJSON_MAX_OPENERS = 1024
+
+# Bytes per step of the depth scan: each step's temporaries stay near 8 MB.
+_SCAN_BYTES = 1 << 20
 
 
 def _few_openers(raw: bytes) -> bool:
@@ -118,6 +128,40 @@ def _few_openers(raw: bytes) -> bool:
     return True
 
 
+def _shallow(raw: bytes) -> bool:
+    """True when ``raw`` nests at most ``_ORJSON_MAX_OPENERS`` deep, so orjson may parse it.
+
+    The count of "[" and "{" bytes bounds the depth, and is the first test.
+    A document with more is scanned with numpy, ``_SCAN_BYTES`` at a time:
+    its depth is the largest count of opened "[" and "{" less closed "]"
+    and "}", outside strings. Without a backslash no quote is escaped, so
+    a byte lies in a string when an odd number of quotes precede it. A
+    document with a backslash keeps the count. Where orjson stops at an
+    error, the bytes before it are a valid start of a document and the
+    scan reads their depth exactly, so orjson never nests deeper.
+    """
+    if _few_openers(raw):
+        return True
+    if b"\\" in raw:
+        return False
+    data = np.frombuffer(raw, np.uint8)
+    depth, quotes = 0, 0
+    for at in range(0, data.size, _SCAN_BYTES):
+        chunk = data[at : at + _SCAN_BYTES]
+        folded = chunk | 0x20  # "[" and "]" become "{" and "}"
+        marks = chunk[(folded == 0x7B) | (folded == 0x7D) | (chunk == 0x22)]
+        quoted = marks == 0x22
+        outside = (np.cumsum(quoted) + quotes) % 2 == 0
+        steps = np.where(outside & ~quoted, np.where((marks | 0x20) == 0x7B, 1, -1), 0)
+        levels = np.cumsum(steps) + depth
+        if levels.size:
+            if levels.max() > _ORJSON_MAX_OPENERS:
+                return False
+            depth = int(levels[-1])
+        quotes += int(quoted.sum())
+    return True
+
+
 def _stdlib_loads(path: Path, raw: bytes) -> object:
     try:
         return json.loads(raw.decode("utf-8"))
@@ -134,15 +178,16 @@ def _read_json(
 ) -> ValueTable | SampleSpace:
     """The table or space in the UTF-8 JSON ``raw``, of a kind in ``accepts``.
 
-    ``_block_table`` reads a value table of plain numbers first. orjson
-    parses every other document whole, five times faster than json on a
-    2^20 table. json stays the reference, and reads the rest: documents
-    orjson rejects (NaN, Infinity and numbers past the float range,
-    lone surrogates, a BOM), those with too many brackets to hand to
-    orjson, and those whose payload fails a ``TableError`` check. Only
-    those error lines quote numbers from the payload, and orjson turns
-    integers wider than 64 bits into floats. Cap and kind errors are the
-    same from either parser, so a table over the cap is not parsed twice.
+    ``_block_table`` reads a value table of plain numbers first, and
+    ``_block_space`` a sample space of them. orjson parses every other
+    document whole, five times faster than json on a 2^20 table. json
+    stays the reference, and reads the rest: documents orjson rejects
+    (NaN, Infinity and numbers past the float range, lone surrogates, a
+    BOM), those nested too deeply to hand to orjson, and those whose
+    payload fails a ``TableError`` check. Only those error lines quote
+    numbers from the payload, and orjson turns integers wider than 64
+    bits into floats. Cap and kind errors are the same from either
+    parser, so a table over the cap is not parsed twice.
     """
 
     def build(payload: object) -> ValueTable | SampleSpace:
@@ -152,11 +197,11 @@ def _read_json(
         from_dict = table_from_dict if kind == "table" else space_from_dict
         return from_dict(payload)
 
-    if "table" in accepts:
-        table = _block_table(raw)
-        if table is not None:
-            return table
-    if _few_openers(raw):
+    if "table" in accepts and (table := _block_table(raw)) is not None:
+        return table
+    if "space" in accepts and (space := _block_space(raw)) is not None:
+        return space
+    if _shallow(raw):
         try:
             return build(orjson.loads(raw))
         except (orjson.JSONDecodeError, TableError):
@@ -164,41 +209,109 @@ def _read_json(
     return build(_stdlib_loads(path, raw))
 
 
-# Values per orjson call on a table body, and per struct call in
-# _json_reals. One call on a whole 2^20 body holds every value as a
-# Python float at once, 32 MB more at peak, and one struct call takes
-# its values as one tuple of arguments.
+# Values per orjson call on the lists of a document, and per struct call in
+# _json_reals. One call on a whole 2^20 table holds every value as a
+# Python float at once, 32 MB more at peak, and one struct call takes its
+# values as one tuple of arguments.
 _BLOCK_VALUES = 1 << 14
+
+# Bytes no list of numbers holds: those of true and false, and "{", which
+# opens the objects orjson 3.8 may nest past its stack.
+_NOT_IN_NUMBERS = (b"t", b"f", b"{")
+
+# The shortest instance list _block_space reads, about 200 values. Each list
+# it reads apart costs a cut, a piece of the shell and a piece of a call:
+# spaces of 16 values an instance read 1.5x slower than the whole parse,
+# 128 at par, and 256 or more 3-11% faster.
+_MIN_LIST_BYTES = 1 << 12
+
+
+def _read_lists(raw: bytes, spans: list[tuple[int, int]], out: np.ndarray) -> bool:
+    """Pack the lists ``raw[s : e + 1]`` of ``spans``, in order, into the
+    float64 array ``out``; False unless each held ``out.size // len(spans)``
+    numbers. No span may hold a "[" past its first byte.
+
+    orjson reads about ``_BLOCK_VALUES`` values a call, and each call's
+    values are packed as doubles. Lists shorter than a call's share of
+    bytes are read as one list, their items joined with a null between
+    each two lists, and those nulls are dropped by place; a longer list is
+    cut at commas into blocks, each read as ``[block]``. No call's text
+    holds a "t", "f" or "{". A string, null, object or list fails the
+    packing, and without "t" or "f" no item is true or false, which would
+    pack as 1.0 and 0.0. So each call read only numbers, and a list of
+    numbers is number text, commas and blanks (RFC 8259 section 5): the
+    lists were lists of numbers, read in order, and no cut fell inside a
+    value. An empty block, as between two commas, is refused.
+    """
+    size = out.size // len(spans)
+    # Bytes per call, for calls of about _BLOCK_VALUES values.
+    step = max(1, (spans[-1][1] - spans[0][0]) * _BLOCK_VALUES // out.size)
+    ends = [end for _, end in spans]
+    filled, view, i = 0, memoryview(raw), 0
+    try:
+        while i < len(spans):
+            start, end = spans[i]
+            if end - start <= step:
+                # The lists that end within step bytes of this one's start,
+                # their items joined with a null between lists.
+                j = bisect.bisect_right(ends, start + step, i + 1)
+                firsts, lasts = [s + 1 for s, _ in spans[i:j]], ends[i:j]
+                firsts[0], lasts[-1] = start, lasts[-1] + 1
+                text = b",null,".join(map(view.__getitem__, map(slice, firsts, lasts)))
+                if any(text.find(byte) >= 0 for byte in _NOT_IN_NUMBERS):
+                    return False
+                items = orjson.loads(text)
+                if len(items) != (j - i) * (size + 1) - 1:
+                    return False
+                # The places of the j - i - 1 nulls between lists. Any null
+                # left fails the packing, so each list held size items.
+                del items[size :: size + 1]
+                struct.pack_into(f"{len(items)}d", out, 8 * filled, *items)
+                filled += len(items)
+            else:
+                j = i + 1
+                while start < end:
+                    cut = raw.find(b",", start + step, end)
+                    cut = end if cut < 0 else cut
+                    # The bytes between the comma or "[" before the block and
+                    # the comma or "]" after it.
+                    block = b"".join((b"[", view[start + 1 : cut], b"]"))
+                    if any(block.find(byte) >= 0 for byte in _NOT_IN_NUMBERS):
+                        return False
+                    items = orjson.loads(block)
+                    # A struct.error: past the end of the array, or not a number.
+                    struct.pack_into(f"{len(items)}d", out, 8 * filled, *items)
+                    if not items:
+                        return False
+                    filled += len(items)
+                    start = cut
+                if filled != j * size:
+                    return False
+            i = j
+    except (ValueError, struct.error):  # ValueError: a JSONDecodeError
+        return False
+    return True
 
 
 def _block_table(raw: bytes) -> ValueTable | None:
-    """The value table in ``raw``, read by orjson in blocks of about
-    ``_BLOCK_VALUES`` values straight into one float64 array; None where
-    the whole-document parse must decide.
+    """The value table in ``raw``, its "values" list read by ``_read_lists``
+    straight into one float64 array; None where the whole-document parse
+    must decide.
 
-    The shell is ``raw`` with the list's body cut out: the body lies
-    between the file's first "[" and its last "]", and the shell must
-    hold no other bracket. orjson parses the shell, which must be an
-    object with one "values" key, whose value is that empty list, and
-    whose "n" passes the feature cap. The body must hold no "t" or "f".
-    It is cut at commas into blocks, each read as ``[block]`` and packed
-    as doubles. A string, null, object or list fails the packing, and
-    with no "t" or "f" no item is true or false, which would pack as 1.0
-    and 0.0. So every block that is read holds only numbers, and a list
-    of numbers is number text, commas and blanks (RFC 8259 section 5):
-    the body holds no bracket, so the file holds one "[" and one "]" and
-    the body was the whole "values" list; and no cut fell inside a
-    value, so the blocks hold that list in order. Any other document, a
-    count other than 2^n, or a value that is not finite goes to the
-    whole parse, so every value and error line is its own.
+    The list runs from the file's first "[" to its last "]", and the file
+    must hold no other "[" and no "]" before it. The shell is ``raw`` with
+    the list emptied. orjson parses the shell, which must be an object
+    with one "values" key, whose value is that empty list, and whose "n"
+    passes the feature cap. ``_read_lists`` proves the list held only
+    numbers. Any other document, a count other than 2^n, or a value that
+    is not finite goes to the whole parse, so every value and error line
+    is its own.
     """
     start, end = raw.find(b"["), raw.rfind(b"]")
-    if not 0 <= start < end or raw.find(b"]", 0, start) >= 0 or raw.find(b"[", end) >= 0:
-        return None
-    if raw.find(b"t", start, end) >= 0 or raw.find(b"f", start, end) >= 0:
+    if not 0 <= start < end or raw.find(b"]", 0, start) >= 0 or raw.find(b"[", start + 1) >= 0:
         return None
     shell = raw[: start + 1] + raw[end:]
-    if shell.count(b'"values"') != 1 or not _few_openers(shell):
+    if shell.count(b'"values"') != 1 or not _shallow(shell):
         return None
     try:
         payload = orjson.loads(shell)
@@ -209,28 +322,78 @@ def _block_table(raw: bytes) -> ValueTable | None:
     except ValueError:  # a JSONDecodeError, or no feature count within the cap
         return None
     values = np.empty(1 << n)
-    # Bytes per block, for blocks of about _BLOCK_VALUES values.
-    step = max(1, (end - start) * _BLOCK_VALUES >> n)
-    filled, view = 0, memoryview(raw)
-    while start < end:
-        cut = raw.find(b",", start + step, end)
-        cut = end if cut < 0 else cut
-        try:
-            # The bytes between the comma or "[" before the block and the
-            # comma or "]" after it.
-            items = orjson.loads(b"".join((b"[", view[start + 1 : cut], b"]")))
-            # A struct.error: past the end of the array, or a string, null,
-            # object or list.
-            struct.pack_into(f"{len(items)}d", values, 8 * filled, *items)
-        except (ValueError, struct.error):
-            return None
-        if not items:
-            return None
-        filled += len(items)
-        start = cut
-    if filled != values.size or not np.all(np.isfinite(values)):
+    if not _read_lists(raw, [(start, end)], values) or not np.all(np.isfinite(values)):
         return None
     return _adopt(ValueTable, n, values)
+
+
+def _block_space(raw: bytes) -> SampleSpace | None:
+    """The sample space in ``raw``, the instances' "values" lists read by
+    ``_read_lists`` straight into the rows of one (k, 2^n) float64 array;
+    None where the whole-document parse must decide.
+
+    The lists read are the file's innermost ones: each "[" whose next
+    bracket is a "]". A list under ``_MIN_LIST_BYTES``, or more than
+    ``_ORJSON_MAX_OPENERS`` other "[" bytes, declines the file before a
+    shell is built. The shell is ``raw`` with those k lists emptied, and
+    must hold the "values" key k times. orjson parses it, and it must be
+    an object with an "n" within the cap and an "instances" list of k
+    objects, each with a "weight" and an empty "values" list.
+    ``_read_lists`` proves the k lists held only numbers, 2^n each, so no
+    quote. An empty list in the shell is a "[" with only blanks before
+    its "]": in the file that is an innermost list, one of the k. So the
+    instances' k empty lists are the k lists, in order, each outside every
+    string; and any other list of the file would hold an innermost one, so
+    there is none but "instances". Any other document, a weight that is
+    not a number, or a space ``SampleSpace`` refuses, as one with a value
+    that is not finite, goes to the whole parse, so every value and error
+    line is its own.
+    """
+    spans, others, close = [], 0, -1
+    at = raw.find(b"[")
+    while at >= 0:
+        after = raw.find(b"[", at + 1)
+        if close < at:
+            close = raw.find(b"]", at + 1)
+            if close < 0:
+                break
+        if 0 <= after < close:
+            others += 1
+            if others > _ORJSON_MAX_OPENERS:
+                return None
+        elif close - at < _MIN_LIST_BYTES:
+            return None
+        else:
+            spans.append((at, close))
+        at = after
+    if not spans:
+        return None
+    view = memoryview(raw)
+    starts = [0] + [end for _, end in spans]
+    stops = [start + 1 for start, _ in spans] + [len(raw)]
+    shell = b"".join(map(view.__getitem__, map(slice, starts, stops)))
+    if shell.count(b'"values"') != len(spans) or not _shallow(shell):
+        return None
+    try:
+        payload = orjson.loads(shell)
+        rows, n = payload["instances"], payload["n"]
+        check_feature_count(n)
+        # A list of m numbers takes at least 2m + 1 bytes, so no more are allocated.
+        if type(rows) is not list or len(rows) != len(spans) or len(raw) < len(rows) << (n + 1):
+            return None
+        if set(map(type, rows)) != {dict}:
+            return None
+        if list(map(operator.itemgetter("values"), rows)).count([]) != len(rows):
+            return None
+        weights = list(map(operator.itemgetter("weight"), rows))
+        weights = _json_reals(weights, "weight", np.empty(len(rows)))
+        values = np.empty((len(rows), 1 << n))
+        if not _read_lists(raw, spans, values.reshape(-1)):
+            return None
+        return SampleSpace(n, weights, values)
+    # A JSONDecodeError or SepsetsError, or a shell of another form.
+    except (ValueError, TypeError, KeyError):
+        return None
 
 
 def table_to_dict(table: ValueTable) -> dict:
@@ -240,20 +403,33 @@ def table_to_dict(table: ValueTable) -> dict:
 
 def _json_reals(items: list, what: str, out: np.ndarray) -> np.ndarray:
     """``out``, a float64 array of ``len(items)`` entries, with the JSON numbers
-    ``items`` packed into it; a string, object, array, null or boolean is an error."""
+    ``items`` packed into it; a string, object, array, null or boolean is an error.
+
+    The packing refuses all of these but booleans, which pack as 1.0 and
+    0.0, so types are looked at only to find a boolean or to word an error:
+    those of a run's entries that packed as 0.0 or 1.0, and all of them
+    after a run fails to pack.
+    """
 
     def real(kind: type) -> bool:
         return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
 
-    # One check per distinct element type keeps this cheap on 2^20 values.
-    if not all(map(real, set(map(type, items)))):
-        at = next(i for i, x in enumerate(items) if not real(type(x)))
-        raise TableError(f"{what} at index {at} must be a number, got {reprlib.repr(items[at])}")
+    def check(indices: Iterable[int]) -> None:
+        picked = list(map(items.__getitem__, indices))
+        # One check per distinct element type keeps this cheap on 2^20 values.
+        if not all(map(real, set(map(type, picked)))):
+            at = next(i for i, x in zip(indices, picked) if not real(type(x)))
+            got = reprlib.repr(items[at])
+            raise TableError(f"{what} at index {at} must be a number, got {got}")
+
     try:
         for at in range(0, len(items), _BLOCK_VALUES):
             run = items[at : at + _BLOCK_VALUES]
             struct.pack_into(f"{len(run)}d", out, 8 * at, *run)
-    except struct.error:  # an integer past the float range
+            packed = out[at : at + len(run)]
+            check((at + np.flatnonzero((packed == 0.0) | (packed == 1.0))).tolist())
+    except struct.error:  # not a number, or an integer past the float range
+        check(range(len(items)))
         raise TableError(f"every {what} must lie within the float range") from None
     return out
 
@@ -287,38 +463,45 @@ def space_from_dict(payload: dict) -> SampleSpace:
     rows = payload["instances"]
     if not isinstance(rows, list) or not rows:
         raise TableError('"instances" must be a nonempty list')
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict) or "weight" not in row or "values" not in row:
-            raise TableError(f'instance {i} needs keys "weight" and "values"')
-    weights = _json_reals([row["weight"] for row in rows], "weight", np.empty(len(rows)))
-    # No row past the first instance of the wrong length, which is refused.
-    fits = [isinstance(r["values"], (list, tuple)) and len(r["values"]) == 1 << n for r in rows]
-    values = np.empty(((fits + [False]).index(False), 1 << n))
+
+    def has(key: str) -> bool:
+        return all(map(dict.__contains__, rows, itertools.repeat(key)))
+
+    if not (all(map(isinstance, rows, itertools.repeat(dict))) and has("weight") and has("values")):
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict) or "weight" not in row or "values" not in row:
+                raise TableError(f'instance {i} needs keys "weight" and "values"')
+    weights = list(map(operator.itemgetter("weight"), rows))
+    weights = _json_reals(weights, "weight", np.empty(len(rows)))
+    cells = list(map(operator.itemgetter("values"), rows))
+    size, lists = 1 << n, (list, tuple)
+    if all(map(isinstance, cells, itertools.repeat(lists))) and set(map(len, cells)) == {size}:
+        fit = len(cells)
+    else:  # No row past the first instance of the wrong length, which is refused.
+        fit = next(i for i, c in enumerate(cells) if not isinstance(c, lists) or len(c) != size)
+    values = np.empty((fit, size))
     # Instances are packed in runs of about _BLOCK_VALUES values, at least one
     # instance each. A run that fails, or that holds the first instance of the
     # wrong length, is packed instance by instance to find and word the error.
     per, flat = max(1, _BLOCK_VALUES >> n), values.reshape(-1)
-    for at in range(0, len(rows), per):
-        run = rows[at : at + per]
-        if at + len(run) <= len(values):
-            cells = []
-            for row in run:
-                cells += row["values"]
+    for at in range(0, len(cells), per):
+        run = cells[at : at + per]
+        if at + len(run) <= fit:
+            items = list(itertools.chain.from_iterable(run))
             try:
-                _json_reals(cells, "value", flat[at << n : (at << n) + len(cells)])
+                _json_reals(items, "value", flat[at << n : (at << n) + len(items)])
                 continue
             except TableError:
                 pass
-        for i, row in enumerate(run, at):
-            cells = row["values"]
+        for i, items in enumerate(run, at):
             try:
-                if not isinstance(cells, (list, tuple)):
+                if not isinstance(items, lists):
                     raise TableError('"values" must be a list of reals in mask order')
                 # A wrong-length instance is packed apart: its type and range errors come first.
-                _json_reals(cells, "value", values[i] if i < len(values) else np.empty(len(cells)))
-                if i == len(values):
-                    shape = (len(cells),)
-                    raise TableError(f"expected {1 << n} values for n={n}, got shape {shape}")
+                _json_reals(items, "value", values[i] if i < fit else np.empty(len(items)))
+                if i == fit:
+                    shape = (len(items),)
+                    raise TableError(f"expected {size} values for n={n}, got shape {shape}")
             except TableError as exc:
                 _check_finite(values[:i])  # an earlier instance that is not finite comes first
                 raise TableError(f"instance {i}: {exc}") from None

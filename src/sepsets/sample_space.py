@@ -47,9 +47,10 @@ class SampleSpace:
             shapes = f"{weights.shape} and {values.shape}"
             raise TableError(f"expected k >= 1 weights and (k, {1 << self.n}) values, got {shapes}")
         _check_finite(values)
-        for i, w in enumerate(weights.tolist()):
-            if not (math.isfinite(w) and w >= 0):
-                raise TableError(f"instance {i} has invalid weight {w!r}")
+        invalid = ~(np.isfinite(weights) & (weights >= 0))
+        if invalid.any():
+            i = int(np.argmax(invalid))
+            raise TableError(f"instance {i} has invalid weight {weights[i].item()!r}")
         if not math.isfinite(total := sum(weights.tolist())):
             # Weights near the float maximum: a power-of-two rescale makes their sum
             # finite. Only this case takes it, as it rounds weights pushed below normal.
@@ -87,10 +88,17 @@ def new_sample_space(pairs: Iterable[tuple[float, ValueTable]]) -> SampleSpace:
 
 
 def global_table(space: SampleSpace) -> ValueTable:
-    """Weighted mean of the instance tables, entry by entry."""
+    """Weighted mean of the instance tables, entry by entry, added in
+    instance order a group of at most ``_GROUP_ENTRIES`` entries at a time."""
     acc = np.zeros(1 << space.n, dtype=np.float64)
-    for w, row in zip(space.weights.tolist(), space.values):
-        acc += w * row
+    size = max(1, _GROUP_ENTRIES >> space.n)
+    for start in range(0, len(space.weights), size):
+        group = slice(start, start + size)
+        rows = space.weights[group, None] * space.values[group]
+        rows[0] += acc
+        # Across the rows of a C-ordered array numpy adds one row at a time,
+        # without pairwise sums, as a loop over the instances does.
+        acc = np.add.reduce(rows, axis=0) if len(rows) > 1 else rows[0]
     return ValueTable(space.n, acc)
 
 

@@ -1,8 +1,12 @@
 """Command-line behavior: exit codes, formats, and diagnostics."""
 
 import hashlib
+import itertools
 import json
+import numbers
 import os
+import reprlib
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -910,19 +914,73 @@ def test_deep_nesting_exits_one_with_an_error_line(capsys, tmp_path, command, do
     assert (code, out, err) == (1, "", f"error: {path}: JSON nested too deeply to parse\n")
 
 
-def test_many_brackets_never_reach_orjson(capsys, tmp_path, monkeypatch):
+def _depth(raw):
+    """The deepest nesting of lists and objects in the JSON bytes ``raw``,
+    strings and their escapes stepped over, as a parser meets it."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for byte in raw:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif byte == 0x5C:
+                escaped = True
+            elif byte == 0x22:
+                in_string = False
+        elif byte == 0x22:
+            in_string = True
+        elif byte in b"[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif byte in b"]}":
+            depth -= 1
+    return deepest
+
+
+def _nested(depth, opener):
+    """A value nested ``depth`` deep in lists ("[") or objects ("{")."""
+    if opener == "[":
+        return "[" * depth + "1" + "]" * depth
+    return '{"a":' * depth + "1" + "}" * depth
+
+
+@pytest.mark.parametrize("opener", ["[", "{"], ids=["lists", "objects"])
+def test_documents_nested_past_1024_never_reach_orjson(capsys, tmp_path, monkeypatch, opener):
     # orjson 3.8 has no depth limit and crashes the process on an object
-    # nested 70,000 deep; more than 1024 brackets go to json instead.
+    # nested 70,000 deep. No text handed to it may nest past 1024, whatever
+    # the count of brackets: a document at 1024 reaches it, one at 1025 goes
+    # to json, and spaces of 512 and 4000 instances reach it.
     seen, loads = [], orjson.loads
-    monkeypatch.setattr(orjson, "loads", lambda raw: seen.append(raw) or loads(raw))
-    shallow, deep = tmp_path / "shallow.json", tmp_path / "deep.json"
+    monkeypatch.setattr(orjson, "loads", lambda raw: seen.append(bytes(raw)) or loads(raw))
+    path = tmp_path / "doc.json"
+    for depth in (1024, 1025):
+        # The object around "x" is one level.
+        text = '{"n": 1, "values": [0, 1], "x": %s}' % _nested(depth - 1, opener)
+        path.write_text(text)
+        seen.clear()
+        code, _, err = run(capsys, ["scores", str(path)])
+        depths = [_depth(raw) for raw in seen]
+        assert max(depths, default=0) == 1024 if depth == 1024 else max(depths, default=0) < 1024
+        assert code == 0 if depth == 1024 else err.endswith("JSON nested too deeply to parse\n")
     instance = {"weight": 1, "values": [0, 1]}
-    shallow.write_text(json.dumps({"n": 1, "instances": [instance] * 511}))
-    deep.write_text(json.dumps({"n": 1, "instances": [instance] * 512}))
-    assert run(capsys, ["audit", str(shallow)])[0] == 0
-    assert len(seen) == 1
-    assert run(capsys, ["audit", str(deep)])[0] == 0
-    assert len(seen) == 1
+    for count in (512, 4000):
+        path.write_text(json.dumps({"n": 1, "instances": [instance] * count}))
+        seen.clear()
+        assert run(capsys, ["audit", str(path)])[0] == 0
+        assert seen and all(_depth(raw) <= 1024 for raw in seen)
+
+
+def test_brackets_in_a_string_do_not_count_toward_the_depth(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "noted.json"
+    path.write_text(json.dumps({"n": 1, "values": [0, 1], "note": "[" * _DEPTH}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    code, out, err = run(capsys, ["scores", str(path)])
+    assert (code, err) == (0, "")
+    assert orjson.loads(out)["tool"] == "sepsets"
 
 
 # A value table in each layout the block reader must read: json.dumps,
@@ -1159,6 +1217,214 @@ def test_a_table_from_its_dict_form_is_packed_into_its_own_array():
     assert table.values.tobytes() == np.asarray(payload["values"]).tobytes()
     # One table and a block of packing arguments; a second copy would be 2x.
     assert peak < 1.25 * (8 << n)
+
+
+def _parent_json_reals(items, what, out):
+    """``inputs._json_reals`` as it was with a type scan before the packing:
+    the reference for the error it raises."""
+
+    def real(kind):
+        return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+    if not all(map(real, set(map(type, items)))):
+        at = next(i for i, x in enumerate(items) if not real(type(x)))
+        raise sepsets.TableError(
+            f"{what} at index {at} must be a number, got {reprlib.repr(items[at])}"
+        )
+    try:
+        for at in range(0, len(items), inputs._BLOCK_VALUES):
+            run = items[at : at + inputs._BLOCK_VALUES]
+            struct.pack_into(f"{len(run)}d", out, 8 * at, *run)
+    except struct.error:
+        raise sepsets.TableError(f"every {what} must lie within the float range") from None
+    return out
+
+
+# Each item orjson or json can give that is not a float64: a string, a
+# null, a list, an object, the booleans and an integer past the float range.
+_NOT_REALS = ["x", None, [1], {"a": 1}, True, False, 10**400]
+
+
+def _reals_outcome(reals, items):
+    try:
+        return reals(items, "value", np.empty(len(items))).tobytes()
+    except sepsets.TableError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("size", [1, 1 << 14, (1 << 14) + 1])
+def test_json_reals_names_the_offender_the_type_scan_named(size):
+    # Zeros and ones among the numbers, where a boolean would pack alike.
+    base = [0.0, 1, 2.5, 1.0, 0, -0.0, 7] * (size // 7 + 1)
+    spots = sorted({0, size // 2, size - 1})
+    cases = [[(at, bad)] for at in spots for bad in _NOT_REALS]
+    cases += [
+        [(first, one), (second, other)]
+        for first, second in itertools.combinations(spots, 2)
+        for one in _NOT_REALS
+        for other in _NOT_REALS
+    ]
+    for case in [[]] + cases:
+        items = base[:size]
+        for at, bad in case:
+            items[at] = bad
+        want = _reals_outcome(_parent_json_reals, items)
+        assert _reals_outcome(inputs._json_reals, items) == want, case
+
+
+def _space_read(path):
+    """What ``read_input`` reads from the file at ``path`` for audit: n and
+    the bits of the weights and values, or the error's type and text."""
+    try:
+        space = inputs.read_input(path, "audit", ("table", "space")).loaded
+    except sepsets.SepsetsError as exc:
+        return type(exc), str(exc)
+    return space.n, space.weights.tobytes(), space.values.tobytes()
+
+
+def _whole_space_read(path, monkeypatch):
+    """``_space_read`` with the space reader declining every document."""
+    with monkeypatch.context() as patch:
+        patch.setattr(inputs, "_block_space", lambda raw: None)
+        return _space_read(path)
+
+
+# A sample space in each layout the space reader must read: json.dumps,
+# indent=2, "values" before "weight" with no blanks, and a note holding a
+# "[", a "t", an "f" and an escaped quote in a string of the shell.
+_SPACE_LAYOUTS = {
+    "compact": lambda n, rows: json.dumps({"n": n, "instances": rows}),
+    "indented": lambda n, rows: json.dumps({"n": n, "instances": rows}, indent=2),
+    "values-first": lambda n, rows: json.dumps(
+        {"n": n, "instances": [{"values": r["values"], "weight": r["weight"]} for r in rows]},
+        separators=(",", ":"),
+    ),
+    "noted": lambda n, rows: json.dumps({"note": '[tf"', "n": n, "instances": rows}),
+}
+
+# Integer and float zeros, integers past 2^53 and 2^64, and the ends of the
+# float range, among random values.
+_SPACE_EDGES = [0, -0.0, 1, 2**53 + 1, 2**64 + 1, -(2**70), 5e-324, 1.7976931348623157e308]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    # At most 2^15 values: at 1 value a call a space is 2^15 orjson calls.
+    st.integers(1, 14).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, min(40, 1 << 15 - n)))
+    ),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(_SPACE_LAYOUTS)),
+    st.sampled_from([1, 3, 1 << 14]),
+)
+def test_space_reader_reads_the_bits_of_the_whole_parse(
+    tmp_path, monkeypatch, shape, seed, layout, block_values
+):
+    n, k = shape
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(k, 1 << n)) * 10.0 ** rng.integers(-300, 300, size=(k, 1 << n))
+    cells = values.tolist()
+    for _ in range(rng.integers(0, 8)):
+        cells[rng.integers(k)][rng.integers(1 << n)] = _SPACE_EDGES[rng.integers(len(_SPACE_EDGES))]
+    weights = rng.uniform(0, 10, size=k).tolist()
+    weights[0] = int(rng.integers(1, 5))
+    rows = [{"weight": w, "values": c} for w, c in zip(weights, cells)]
+    path = tmp_path / "space.json"
+    path.write_text(_SPACE_LAYOUTS[layout](n, rows))
+    with monkeypatch.context() as patch:
+        patch.setattr(inputs, "_MIN_LIST_BYTES", 0)
+        patch.setattr(inputs, "_BLOCK_VALUES", block_values)
+        assert inputs._block_space(path.read_bytes()) is not None
+        fast = _space_read(path)
+    assert fast == _whole_space_read(path, monkeypatch)
+
+
+def _space_text(*rows, n=1, head=""):
+    return '{%s"n": %d, "instances": [%s]}' % (head, n, ", ".join(rows))
+
+
+_ROW = '{"weight": 1, "values": [0, 1]}'
+
+# Each the space reader must leave to the whole parse, with the cause in a
+# middle instance where there are several.
+_SPACE_DECLINED = {
+    **{
+        name: _space_text(_ROW, '{"weight": 1, "values": [0, %s]}' % cell, _ROW)
+        for name, cell in [
+            ("true", "true"), ("plus", "+1"), ("nan", "NaN"), ("past-the-range", "1e400"),
+            ("string", '"1"'), ("nested-list", "[1]"), ("null", "null"), ("object", '{"x": 1}'),
+        ]
+    },
+    "short-instance": _space_text(_ROW, '{"weight": 1, "values": [0]}', _ROW),
+    "long-instance": _space_text(_ROW, '{"weight": 1, "values": [0, 1, 2]}', _ROW),
+    "missing-weight": _space_text(_ROW, '{"values": [0, 1]}', _ROW),
+    "weight-list": _space_text(_ROW, '{"weight": [1], "values": [0, 1]}', _ROW),
+    "weight-string": _space_text(_ROW, '{"weight": "1", "values": [0, 1]}', _ROW),
+    "negative-weight": _space_text(_ROW, '{"weight": -1, "values": [0, 1]}', _ROW),
+    "values-key-twice": _space_text(_ROW, '{"weight": 1, "values": 7, "values": [0, 1]}'),
+    "values-key-twice-list-first": _space_text(
+        _ROW, '{"weight": 1, "values": [0, 1], "values": 7}'
+    ),
+    "top-level-values": _space_text(_ROW, head='"values": 5, '),
+    "empty-instances": _space_text(),
+    "bom": "\ufeff" + _space_text(_ROW),
+    "trailing-comma": _space_text(_ROW, _ROW + ","),
+    "over-cap": _space_text(_ROW, n=21),
+    "list-in-a-string": _space_text(_ROW, head='"note": "[0, 1]", '),
+    "second-list": _space_text(_ROW, head='"x": [0, 1], '),
+    # A list under another key, with as many lists as "values" keys.
+    "values-not-a-list": _space_text(_ROW, '{"weight": 1, "values": 7, "x": [0, 1]}'),
+    # Two lists of one value, as many values as one instance holds.
+    "fewer-instances-than-lists": _space_text(
+        '{"weight": 1, "values": [1]}', head='"values": 5, "x": [0], '
+    ),
+    "deep-objects": _space_text(_ROW, head='"x": %s, ' % _nested(1100, "{")),
+}
+
+
+@pytest.mark.parametrize("block_values", [1, 1 << 14])
+@pytest.mark.parametrize("name", _SPACE_DECLINED)
+def test_space_reader_declines_what_it_might_read_otherwise(
+    tmp_path, monkeypatch, name, block_values
+):
+    path = tmp_path / "space.json"
+    path.write_text(_SPACE_DECLINED[name], encoding="utf-8")
+    with monkeypatch.context() as patch:
+        patch.setattr(inputs, "_MIN_LIST_BYTES", 0)
+        patch.setattr(inputs, "_BLOCK_VALUES", block_values)
+        assert inputs._block_space(path.read_bytes()) is None
+        fast = _space_read(path)
+    assert fast == _whole_space_read(path, monkeypatch)
+
+
+def test_space_reader_leaves_short_instances_to_the_whole_parse(tmp_path, monkeypatch):
+    # Lists under _MIN_LIST_BYTES read faster in the whole parse.
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"n": 3, "instances": [{"weight": 1, "values": [0.5] * 8}] * 3}))
+    assert inputs._block_space(path.read_bytes()) is None
+    monkeypatch.setattr(inputs, "_MIN_LIST_BYTES", 0)
+    assert inputs._block_space(path.read_bytes()) is not None
+    assert _space_read(path) == _whole_space_read(path, monkeypatch)
+
+
+def test_reading_a_space_holds_under_one_and_a_half_stacks_beyond_the_file(tmp_path):
+    n, k = 14, 64
+    path = tmp_path / "s14.json"
+    values = np.random.default_rng(0).normal(size=(k, 1 << n))
+    rows = [{"weight": 1, "values": row} for row in values.tolist()]
+    path.write_text(json.dumps({"n": n, "instances": rows}))
+    del rows
+    tracemalloc.start()
+    try:
+        loaded = inputs.read_input(path, "audit", ("table", "space")).loaded
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.tobytes() == values.tobytes()
+    # The whole parse holds every value as a Python float in its instance's list.
+    assert peak - path.stat().st_size < 1.5 * values.nbytes
 
 
 # Finite, but its dividend at {0, 1} is -1e308 - 2e308.

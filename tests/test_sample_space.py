@@ -217,6 +217,33 @@ def test_global_table_is_weighted_mean(rng):
     assert np.allclose(mean.values, expected, atol=1e-12)
 
 
+def _loop_global_table(space):
+    """The weighted mean as a loop over the instances adds it: the reference
+    for the bits of ``global_table``."""
+    acc = np.zeros(1 << space.n)
+    for w, row in zip(space.weights.tolist(), space.values):
+        acc += w * row
+    return acc
+
+
+@pytest.mark.parametrize(
+    ("k", "n", "group"),
+    # group patches _GROUP_ENTRIES: None keeps its 2^20 entries.
+    [
+        (1, 1, None), (7, 3, 16), (5, 6, 32), (100, 8, None), (1000, 4, 64),
+        (300, 12, 1 << 14), (10**5, 1, None),
+    ],
+)
+def test_global_table_adds_the_rows_in_instance_order(monkeypatch, k, n, group):
+    if group is not None:
+        monkeypatch.setattr(sample_space, "_GROUP_ENTRIES", group)
+    rng = np.random.default_rng(k + n)
+    values = rng.normal(size=(k, 1 << n)) * 10.0 ** rng.integers(-8, 8, size=(k, 1))
+    weights = rng.uniform(0, 1, size=k) * (rng.uniform(size=k) < 0.9)
+    space = SampleSpace(n, weights, values)
+    assert global_table(space).values.tobytes() == _loop_global_table(space).tobytes()
+
+
 def test_value_consistency_against_computed_mean(rng):
     space = new_sample_space([(1.0, random_table(rng, 3)), (1.0, random_table(rng, 3))])
     report = check_value_consistency(space, global_table(space), TOL)
