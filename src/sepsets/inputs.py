@@ -3,15 +3,15 @@ once into a value table or a sample space; the dict forms of a value
 table, a sample space and a partition are what their JSON files hold;
 ``table_json`` writes table files.
 
-A JSON value table of plain numbers is read in blocks by
-``_block_table``, straight into one float64 array, after a few byte
-searches. A sample space whose instance lists hold 4 KiB or more (about
-200 values) is read by ``_block_space``, each instance's list straight
-into its row of one stack. Both read their lists with ``_read_lists``,
-whose block parse itself proves each list held only numbers, and orjson
-parses only the shell left around the lists. orjson parses every other
-JSON document whole when it nests at most 1024 deep, and Python's json
-reads those orjson rejects or is not trusted with. ``_json_reals`` packs
+A JSON value table or sample space whose lists of numbers hold 4 KiB
+or more each (about 200 values) is read by ``_block_read``: orjson
+parses only the shell left around the lists, and ``_read_lists``, whose
+block parse itself proves each list held only numbers, reads them
+straight into one float64 array, a table's or the rows of a space's
+stack. orjson parses every other JSON document whole when it nests at
+most 1024 deep, and Python's json reads those orjson rejects or is not
+trusted with. Only the files ``_block_read`` declines, and CSV files,
+are checked for UTF-8 text first. ``_json_reals`` packs
 the parsed numbers into the array that keeps them: a table's own array,
 or an instance's row of a sample space's stack; it looks at types only
 where a boolean may hide or an error needs wording. orjson reads a CSV
@@ -69,7 +69,8 @@ def read_input(
     A ``.csv`` suffix means CSV, and any other file is JSON whose keys
     name its kind. A file of a family the command takes no kind of, or
     JSON given ``target`` or ``weight_col``, is refused unread, and one
-    not UTF-8 anywhere before either parser runs.
+    not UTF-8 anywhere before the whole-document parser or the CSV
+    reader runs.
     """
     names = {"table": "value-table", "space": "sample-space"}
     json_kinds = [names[k] for k in accepts if k != "csv"]
@@ -85,14 +86,10 @@ def read_input(
     if not is_csv and (target, weight_col) != (None, None):
         raise _UsageError("--target and --weight-col apply to CSV input only")
     raw = path.read_bytes()
-    if not raw.isascii():  # ASCII is UTF-8; the check builds no decoded copy
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise _UsageError(f"{path}: not UTF-8 text") from None
     digest = hashlib.sha256(raw).hexdigest()
     if not is_csv:
         return Input(_read_json(path, raw, accepts, expects), digest)
+    _check_utf8(path, raw)
     X, y, w, features, raw_sum = _load_csv(path, raw, target, weight_col)
     data = new_dataset(X, y, w)
     notes = []
@@ -111,28 +108,21 @@ _ORJSON_MAX_OPENERS = 1024
 _SCAN_BYTES = 1 << 20
 
 
-def _few_openers(raw: bytes) -> bool:
-    """True when ``raw`` holds at most ``_ORJSON_MAX_OPENERS`` "[" and "{" bytes.
-
-    ``bytes.find`` is a memchr: about 3 ms over a 24 MB table, where
-    ``bytes.count`` takes 25 ms.
-    """
-    budget = _ORJSON_MAX_OPENERS
-    for opener in b"[{":
-        at = raw.find(opener)
-        while at >= 0:
-            budget -= 1
-            if budget < 0:
-                return False
-            at = raw.find(opener, at + 1)
-    return True
+def _check_utf8(path: Path, raw: bytes) -> None:
+    if not raw.isascii():  # ASCII is UTF-8; the check builds no decoded copy
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _UsageError(f"{path}: not UTF-8 text") from None
 
 
 def _shallow(raw: bytes) -> bool:
     """True when ``raw`` nests at most ``_ORJSON_MAX_OPENERS`` deep, so orjson may parse it.
 
-    The count of "[" and "{" bytes bounds the depth, and is the first test.
-    A document with more is scanned with numpy, ``_SCAN_BYTES`` at a time:
+    The count of "[" and "{" bytes bounds the depth, and is the first
+    test; it stops one byte past the bound. ``bytes.find`` is a memchr:
+    about 1 ms over a 24 MB table, where ``bytes.count`` takes 8 ms. A
+    document with more is scanned with numpy, ``_SCAN_BYTES`` at a time:
     its depth is the largest count of opened "[" and "{" less closed "]"
     and "}", outside strings. Without a backslash no quote is escaped, so
     a byte lies in a string when an odd number of quotes precede it. A
@@ -140,7 +130,13 @@ def _shallow(raw: bytes) -> bool:
     error, the bytes before it are a valid start of a document and the
     scan reads their depth exactly, so orjson never nests deeper.
     """
-    if _few_openers(raw):
+    budget = _ORJSON_MAX_OPENERS
+    for opener in b"[{":
+        at = raw.find(opener)
+        while at >= 0 and budget >= 0:
+            budget -= 1
+            at = raw.find(opener, at + 1)
+    if budget >= 0:
         return True
     if b"\\" in raw:
         return False
@@ -176,18 +172,20 @@ def _stdlib_loads(path: Path, raw: bytes) -> object:
 def _read_json(
     path: Path, raw: bytes, accepts: tuple[str, ...], expects: str
 ) -> ValueTable | SampleSpace:
-    """The table or space in the UTF-8 JSON ``raw``, of a kind in ``accepts``.
+    """The table or space in the JSON ``raw``, of a kind in ``accepts``.
 
-    ``_block_table`` reads a value table of plain numbers first, and
-    ``_block_space`` a sample space of them. orjson parses every other
-    document whole, five times faster than json on a 2^20 table. json
-    stays the reference, and reads the rest: documents orjson rejects
-    (NaN, Infinity and numbers past the float range, lone surrogates, a
-    BOM), those nested too deeply to hand to orjson, and those whose
-    payload fails a ``TableError`` check. Only those error lines quote
-    numbers from the payload, and orjson turns integers wider than 64
-    bits into floats. Cap and kind errors are the same from either
-    parser, so a table over the cap is not parsed twice.
+    ``_block_read`` reads a table or space of plain numbers first. A file
+    it declines must be UTF-8 text; one it reads is: orjson parsed every
+    byte of it but the commas and brackets at its cuts, which are ASCII,
+    and orjson refuses invalid UTF-8 and lone surrogates. orjson parses
+    every other document whole, five times faster than json on a 2^20
+    table. json stays the reference, and reads the rest: documents orjson
+    rejects (NaN, Infinity and numbers past the float range, lone
+    surrogates, a BOM), those nested too deeply to hand to orjson, and
+    those whose payload fails a ``TableError`` check. Only those error
+    lines quote numbers from the payload, and orjson turns integers wider
+    than 64 bits into floats. Cap and kind errors are the same from
+    either parser, so a table over the cap is not parsed twice.
     """
 
     def build(payload: object) -> ValueTable | SampleSpace:
@@ -197,10 +195,9 @@ def _read_json(
         from_dict = table_from_dict if kind == "table" else space_from_dict
         return from_dict(payload)
 
-    if "table" in accepts and (table := _block_table(raw)) is not None:
-        return table
-    if "space" in accepts and (space := _block_space(raw)) is not None:
-        return space
+    if (loaded := _block_read(raw, accepts)) is not None:
+        return loaded
+    _check_utf8(path, raw)
     if _shallow(raw):
         try:
             return build(orjson.loads(raw))
@@ -219,10 +216,10 @@ _BLOCK_VALUES = 1 << 14
 # opens the objects orjson 3.8 may nest past its stack.
 _NOT_IN_NUMBERS = (b"t", b"f", b"{")
 
-# The shortest instance list _block_space reads, about 200 values. Each list
-# it reads apart costs a cut, a piece of the shell and a piece of a call:
-# spaces of 16 values an instance read 1.5x slower than the whole parse,
-# 128 at par, and 256 or more 3-11% faster.
+# The shortest list _block_read reads, about 200 values, more than the 128
+# of an n=7 table. Each list it reads apart costs a cut, a piece of the
+# shell and a piece of a call: spaces of 16 values an instance read 1.5x
+# slower than the whole parse, 128 at par, and 256 or more 3-11% faster.
 _MIN_LIST_BYTES = 1 << 12
 
 
@@ -293,61 +290,29 @@ def _read_lists(raw: bytes, spans: list[tuple[int, int]], out: np.ndarray) -> bo
     return True
 
 
-def _block_table(raw: bytes) -> ValueTable | None:
-    """The value table in ``raw``, its "values" list read by ``_read_lists``
-    straight into one float64 array; None where the whole-document parse
-    must decide.
-
-    The list runs from the file's first "[" to its last "]", and the file
-    must hold no other "[" and no "]" before it. The shell is ``raw`` with
-    the list emptied. orjson parses the shell, which must be an object
-    with one "values" key, whose value is that empty list, and whose "n"
-    passes the feature cap. ``_read_lists`` proves the list held only
-    numbers. Any other document, a count other than 2^n, or a value that
-    is not finite goes to the whole parse, so every value and error line
-    is its own.
-    """
-    start, end = raw.find(b"["), raw.rfind(b"]")
-    if not 0 <= start < end or raw.find(b"]", 0, start) >= 0 or raw.find(b"[", start + 1) >= 0:
-        return None
-    shell = raw[: start + 1] + raw[end:]
-    if shell.count(b'"values"') != 1 or not _shallow(shell):
-        return None
-    try:
-        payload = orjson.loads(shell)
-        if not isinstance(payload, dict) or payload.get("values") != []:
-            return None
-        n = payload.get("n")
-        check_feature_count(n)
-    except ValueError:  # a JSONDecodeError, or no feature count within the cap
-        return None
-    values = np.empty(1 << n)
-    if not _read_lists(raw, [(start, end)], values) or not np.all(np.isfinite(values)):
-        return None
-    return _adopt(ValueTable, n, values)
-
-
-def _block_space(raw: bytes) -> SampleSpace | None:
-    """The sample space in ``raw``, the instances' "values" lists read by
-    ``_read_lists`` straight into the rows of one (k, 2^n) float64 array;
-    None where the whole-document parse must decide.
+def _block_read(raw: bytes, accepts: tuple[str, ...]) -> ValueTable | SampleSpace | None:
+    """The value table or sample space in ``raw``, of a kind in ``accepts``,
+    its lists read by ``_read_lists`` straight into one float64 array, a
+    table's or the rows of a space's (k, 2^n) stack; None where the
+    whole-document parse must decide.
 
     The lists read are the file's innermost ones: each "[" whose next
     bracket is a "]". A list under ``_MIN_LIST_BYTES``, or more than
     ``_ORJSON_MAX_OPENERS`` other "[" bytes, declines the file before a
     shell is built. The shell is ``raw`` with those k lists emptied, and
     must hold the "values" key k times. orjson parses it, and it must be
-    an object with an "n" within the cap and an "instances" list of k
-    objects, each with a "weight" and an empty "values" list.
-    ``_read_lists`` proves the k lists held only numbers, 2^n each, so no
-    quote. An empty list in the shell is a "[" with only blanks before
-    its "]": in the file that is an innermost list, one of the k. So the
-    instances' k empty lists are the k lists, in order, each outside every
-    string; and any other list of the file would hold an innermost one, so
-    there is none but "instances". Any other document, a weight that is
-    not a number, or a space ``SampleSpace`` refuses, as one with a value
-    that is not finite, goes to the whole parse, so every value and error
-    line is its own.
+    an object with an "n" within the cap. With a "values" key it is a
+    table, as ``_sniff`` reads it, whose "values" is an empty list and k
+    is 1. Any other is a space, with an "instances" list of k objects,
+    each with a "weight" and an empty "values" list. ``_read_lists``
+    proves the k lists held only numbers, 2^n each, so no quote. An empty
+    list in the shell is a "[" with only blanks before its "]": in the
+    file that is an innermost list, one of the k. So the k empty lists
+    named are the k lists, in order, each outside every string; and any
+    other list of the file would hold an innermost one, so there is none.
+    Any other document, a weight that is not a number, or a table or
+    space with a value that is not finite goes to the whole parse, so
+    every value and error line is its own.
     """
     spans, others, close = [], 0, -1
     at = raw.find(b"[")
@@ -376,10 +341,20 @@ def _block_space(raw: bytes) -> SampleSpace | None:
         return None
     try:
         payload = orjson.loads(shell)
-        rows, n = payload["instances"], payload["n"]
+        n = payload["n"]
         check_feature_count(n)
         # A list of m numbers takes at least 2m + 1 bytes, so no more are allocated.
-        if type(rows) is not list or len(rows) != len(spans) or len(raw) < len(rows) << (n + 1):
+        if len(raw) < len(spans) << (n + 1):
+            return None
+        if "values" in payload:
+            if "table" not in accepts or payload["values"] != [] or len(spans) != 1:
+                return None
+            values = np.empty(1 << n)
+            if not _read_lists(raw, spans, values) or not np.all(np.isfinite(values)):
+                return None
+            return _adopt(ValueTable, n, values)
+        rows = payload["instances"]
+        if "space" not in accepts or type(rows) is not list or len(rows) != len(spans):
             return None
         if set(map(type, rows)) != {dict}:
             return None

@@ -984,9 +984,9 @@ def test_brackets_in_a_string_do_not_count_toward_the_depth(capsys, tmp_path, mo
 
 
 # A value table in each layout the block reader must read: json.dumps,
-# table_json's indent=2, "values" before "n" with no blanks, and a "t"
-# and an "f" in a string of the shell, before or after the list, where
-# the reader does not search for them.
+# table_json's indent=2, "values" before "n" with no blanks, a "t" and an
+# "f" in a string of the shell, before or after the list, where the reader
+# does not search for them, and a lone "[" or "]" in such a string.
 _LAYOUTS = {
     "compact": lambda n, cells: '{"n": %d, "values": [%s]}' % (n, ", ".join(cells)),
     "indented": lambda n, cells: (
@@ -998,6 +998,18 @@ _LAYOUTS = {
     ),
     "noted-after": lambda n, cells: (
         '{"n": %d, "values": [%s], "note": "true false"}' % (n, ", ".join(cells))
+    ),
+    "open-bracket-before": lambda n, cells: (
+        '{"note": "[", "n": %d, "values": [%s]}' % (n, ", ".join(cells))
+    ),
+    "close-bracket-before": lambda n, cells: (
+        '{"note": "]", "n": %d, "values": [%s]}' % (n, ", ".join(cells))
+    ),
+    "open-bracket-after": lambda n, cells: (
+        '{"n": %d, "values": [%s], "note": "["}' % (n, ", ".join(cells))
+    ),
+    "close-bracket-after": lambda n, cells: (
+        '{"n": %d, "values": [%s], "note": "]"}' % (n, ", ".join(cells))
     ),
 }
 
@@ -1025,16 +1037,17 @@ def _table_read(raw):
 def _whole_read(raw, monkeypatch):
     """``_table_read`` with the block reader declining every document."""
     with monkeypatch.context() as patch:
-        patch.setattr(inputs, "_block_table", lambda raw: None)
+        patch.setattr(inputs, "_block_read", lambda raw, accepts: None)
         return _table_read(raw)
 
 
 @pytest.mark.parametrize("block_values", [1, 3, 1 << 14])
 @pytest.mark.parametrize("layout", _LAYOUTS)
 def test_block_reader_reads_the_bits_of_the_whole_parse(monkeypatch, layout, block_values):
+    monkeypatch.setattr(inputs, "_MIN_LIST_BYTES", 0)
     monkeypatch.setattr(inputs, "_BLOCK_VALUES", block_values)
     raw = _LAYOUTS[layout](4, _EDGE_CELLS).encode()
-    assert inputs._block_table(raw) is not None
+    assert inputs._block_read(raw, ("table",)) is not None
     assert _table_read(raw) == _whole_read(raw, monkeypatch)
 
 
@@ -1059,23 +1072,22 @@ _DECLINED = {
     "bom": "\ufeff" + _last_cell("0"),
     "nested-array": '{"n": 2, "values": [0, 0, [0], 0]}',
     "second-array": '{"n": 2, "values": [0, 0, 0, 0], "blocks": [0]}',
-    "second-open-bracket": '{"n": 2, "values": [0, 0, 0, 0], "note": "["}',
-    "second-close-bracket": '{"n": 2, "values": [0, 0, 0, 0], "note": "]"}',
     "list-under-another-key": '{"n": 2, "values": 5, "x": [0, 0, 0, 0]}',
     # Past _ORJSON_MAX_OPENERS, so json must read it.
     "many-braces": '{"n": 2, "values": [0, 0, 0, 0], "x": %s1%s}' % ('{"a":' * 1100, "}" * 1100),
     "values-key-twice": '{"values": 7, "n": 2, "values": [0, 0, 0, 0]}',
     "values-key-twice-list-first": '{"n": 2, "values": [0, 0, 0, 0], "values": 7}',
+    # 2^n values in two lists, each under a "values" key.
+    "values-split-in-two-lists": '{"n": 2, "values": [0, 0], "x": {"values": [0, 0]}}',
     "too-few": _LAYOUTS["compact"](2, ["0"] * 3),
     "too-many": _LAYOUTS["compact"](2, ["0"] * 5),
     "float-n": '{"n": 2.0, "values": [0, 0, 0, 0]}',
     "over-cap": '{"n": 21, "values": [0, 0, 0, 0]}',
     "bare-list": "[0, 0, 0, 0]",
-    # Brackets in strings of the shell, a "]" before the "[", a second
+    # A list in a string of the shell, a "]" before the "[", a second
     # list, "values" not holding the list, and a boolean, which would pack
     # as a float, in the first, a middle or the last block.
-    "open-bracket-in-a-string-before": '{"note": "[", "n": 2, "values": [0, 0, 0, 0]}',
-    "close-bracket-in-a-string-before": '{"note": "]", "n": 2, "values": [0, 0, 0, 0]}',
+    "list-in-a-string": '{"note": "[0]", "n": 2, "values": [0, 0, 0, 0]}',
     "close-before-open": '{"n": 2, "note": "]", "values": "[0, 0, 0, 0"}',
     "second-array-before": '{"blocks": [0], "n": 2, "values": [0, 0, 0, 0]}',
     "list-inside-values": '{"n": 2, "values": {"x": [0, 0, 0, 0]}}',
@@ -1088,9 +1100,11 @@ _DECLINED = {
 @pytest.mark.parametrize("block_values", [1, 1 << 14])
 @pytest.mark.parametrize("name", _DECLINED)
 def test_block_reader_declines_what_it_might_read_otherwise(monkeypatch, name, block_values):
+    # Its lists are short: at the default _MIN_LIST_BYTES, each is declined unread.
+    monkeypatch.setattr(inputs, "_MIN_LIST_BYTES", 0)
     monkeypatch.setattr(inputs, "_BLOCK_VALUES", block_values)
     raw = _DECLINED[name].encode()
-    assert inputs._block_table(raw) is None
+    assert inputs._block_read(raw, ("table", "space")) is None
     assert _table_read(raw) == _whole_read(raw, monkeypatch)
 
 
@@ -1119,7 +1133,9 @@ def test_packed_values_hold_the_bits_numpy_converts_to(cells):
     raw = _LAYOUTS["compact"](n, cells).encode()
     items = json.loads(raw)["values"]
     want = np.asarray(items, np.float64).tobytes()
-    assert inputs._block_table(raw).values.tobytes() == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inputs, "_MIN_LIST_BYTES", 0)
+        assert inputs._block_read(raw, ("table",)).values.tobytes() == want
     assert sepsets.table_from_dict({"n": n, "values": items}).values.tobytes() == want
     space = sepsets.space_from_dict({"n": n, "instances": [{"weight": 1, "values": items}]})
     assert space.values[0].tobytes() == want
@@ -1136,7 +1152,7 @@ def test_block_edges_next_to_the_table_file_line_breaks(monkeypatch, n):
     rng = np.random.default_rng(n)
     values = rng.normal(size=1 << n) * np.geomspace(1e-6, 1e20, 1 << n)
     raw = table_json(ValueTable(n, values))
-    table = inputs._block_table(raw)
+    table = inputs._block_read(raw, ("table",))
     assert table is not None and table.values.tobytes() == values.tobytes()
     assert _table_read(raw) == _whole_read(raw, monkeypatch)
 
@@ -1181,9 +1197,10 @@ def test_block_reader_matches_the_whole_parse_on_random_tables(
 ):
     raw = _LAYOUTS[layout](len(cells).bit_length() - 1, cells).encode()
     with monkeypatch.context() as patch:
+        patch.setattr(inputs, "_MIN_LIST_BYTES", 0)
         patch.setattr(inputs, "_BLOCK_VALUES", block_values)
         fast = _table_read(raw)
-        read = inputs._block_table(raw) is not None
+        read = inputs._block_read(raw, ("table",)) is not None
     assert fast == _whole_read(raw, monkeypatch)
     # Only a cell that is not a number, or an integer past the float
     # range, sends a table on.
@@ -1272,11 +1289,14 @@ def test_json_reals_names_the_offender_the_type_scan_named(size):
         assert _reals_outcome(inputs._json_reals, items) == want, case
 
 
+_AUDIT = ("table", "space")
+
+
 def _space_read(path):
     """What ``read_input`` reads from the file at ``path`` for audit: n and
     the bits of the weights and values, or the error's type and text."""
     try:
-        space = inputs.read_input(path, "audit", ("table", "space")).loaded
+        space = inputs.read_input(path, "audit", _AUDIT).loaded
     except sepsets.SepsetsError as exc:
         return type(exc), str(exc)
     return space.n, space.weights.tobytes(), space.values.tobytes()
@@ -1285,7 +1305,7 @@ def _space_read(path):
 def _whole_space_read(path, monkeypatch):
     """``_space_read`` with the space reader declining every document."""
     with monkeypatch.context() as patch:
-        patch.setattr(inputs, "_block_space", lambda raw: None)
+        patch.setattr(inputs, "_block_read", lambda raw, accepts: None)
         return _space_read(path)
 
 
@@ -1336,7 +1356,7 @@ def test_space_reader_reads_the_bits_of_the_whole_parse(
     with monkeypatch.context() as patch:
         patch.setattr(inputs, "_MIN_LIST_BYTES", 0)
         patch.setattr(inputs, "_BLOCK_VALUES", block_values)
-        assert inputs._block_space(path.read_bytes()) is not None
+        assert inputs._block_read(path.read_bytes(), _AUDIT) is not None
         fast = _space_read(path)
     assert fast == _whole_space_read(path, monkeypatch)
 
@@ -1394,7 +1414,7 @@ def test_space_reader_declines_what_it_might_read_otherwise(
     with monkeypatch.context() as patch:
         patch.setattr(inputs, "_MIN_LIST_BYTES", 0)
         patch.setattr(inputs, "_BLOCK_VALUES", block_values)
-        assert inputs._block_space(path.read_bytes()) is None
+        assert inputs._block_read(path.read_bytes(), _AUDIT) is None
         fast = _space_read(path)
     assert fast == _whole_space_read(path, monkeypatch)
 
@@ -1403,9 +1423,9 @@ def test_space_reader_leaves_short_instances_to_the_whole_parse(tmp_path, monkey
     # Lists under _MIN_LIST_BYTES read faster in the whole parse.
     path = tmp_path / "space.json"
     path.write_text(json.dumps({"n": 3, "instances": [{"weight": 1, "values": [0.5] * 8}] * 3}))
-    assert inputs._block_space(path.read_bytes()) is None
+    assert inputs._block_read(path.read_bytes(), _AUDIT) is None
     monkeypatch.setattr(inputs, "_MIN_LIST_BYTES", 0)
-    assert inputs._block_space(path.read_bytes()) is not None
+    assert inputs._block_read(path.read_bytes(), _AUDIT) is not None
     assert _space_read(path) == _whole_space_read(path, monkeypatch)
 
 
@@ -1425,6 +1445,99 @@ def test_reading_a_space_holds_under_one_and_a_half_stacks_beyond_the_file(tmp_p
     assert loaded.values.tobytes() == values.tobytes()
     # The whole parse holds every value as a Python float in its instance's list.
     assert peak - path.stat().st_size < 1.5 * values.nbytes
+
+
+def _cells(n):
+    return [repr(v) for v in np.random.default_rng(n).normal(size=1 << n).tolist()]
+
+
+# Lists the block reader reads apart: an n=12 table, and 3 instances at n=9.
+_TABLE12 = _LAYOUTS["compact"](12, _cells(12))
+_SPACE9 = json.dumps(
+    {
+        "n": 9,
+        "instances": [
+            {"weight": 1, "values": row}
+            for row in np.random.default_rng(9).normal(size=(3, 512)).tolist()
+        ],
+    }
+)
+
+# Files with "@" where a byte that is not UTF-8 goes, and the commands that
+# read them: in the shell and in the body of a table the block reader would
+# read, in a table under _MIN_LIST_BYTES, which it declines unread, and in
+# an instance's list of a space it would read.
+_BAD_BYTE_FILES = {
+    "table-shell": (["scores", "audit"], _TABLE12.replace("{", '{"note": "@", ', 1)),
+    "table-body": (["scores", "audit"], _TABLE12.replace("[", "[@", 1)),
+    "small-table": (["scores", "audit"], '{"n": 2, "values": [0, @1, 2, 3]}'),
+    "space-list": (["audit", "partition"], _SPACE9.replace('"values": [', '"values": [@', 1)),
+}
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"], ids=["ff", "lone-surrogate"])
+@pytest.mark.parametrize("place", _BAD_BYTE_FILES)
+def test_a_file_not_utf8_gives_one_error_line_wherever_the_byte_sits(capsys, tmp_path, place, bad):
+    commands, text = _BAD_BYTE_FILES[place]
+    assert (inputs._block_read(text.replace("@", "").encode(), _AUDIT) is None) == (
+        place == "small-table"
+    )
+    path = tmp_path / "bad.json"
+    path.write_bytes(text.encode().replace(b"@", bad))
+    for command in commands:
+        assert run(capsys, [command, str(path)]) == (1, "", f"error: {path}: not UTF-8 text\n")
+
+
+def test_a_bom_led_table_gives_the_json_error_line(capsys, tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + _TABLE12.encode())
+    message = "JSON parse error at line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    assert run(capsys, ["scores", str(path)]) == (1, "", f"error: {path}: {message}\n")
+
+
+def test_a_note_of_non_ascii_text_is_read_by_the_block_reader(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "noted.json"
+    path.write_text(_TABLE12.replace("{", '{"note": "caf\u00e9 \u2211 \U0001f600", ', 1))
+    assert inputs._block_read(path.read_bytes(), ("table",)) is not None
+    fast = run(capsys, ["scores", str(path)])
+    with monkeypatch.context() as patch:
+        patch.setattr(inputs, "_block_read", lambda raw, accepts: None)
+        assert run(capsys, ["scores", str(path)]) == fast
+    assert fast[0] == 0
+
+
+# A document of each kind, and documents with both a top-level "values"
+# and "instances", which are tables.
+_CROSS_KIND = {
+    "space": _SPACE9,
+    "table": _LAYOUTS["compact"](9, _cells(9)),
+    "values-and-instances": _SPACE9[:-1] + ', "values": [%s]}' % ", ".join(_cells(9)),
+    "values-number-and-instances": _SPACE9[:-1] + ', "values": 5}',
+    "values-empty-and-instances": _SPACE9[:-1] + ', "values": []}',
+}
+
+
+@pytest.mark.parametrize("min_list_bytes", [inputs._MIN_LIST_BYTES, 0])
+@pytest.mark.parametrize("name", _CROSS_KIND)
+def test_each_kind_reads_as_the_whole_parse_reads_it(
+    capsys, tmp_path, monkeypatch, name, min_list_bytes
+):
+    path = tmp_path / "doc.json"
+    path.write_text(_CROSS_KIND[name])
+    monkeypatch.setattr(inputs, "_MIN_LIST_BYTES", min_list_bytes)
+    commands = ["scores", "audit", "partition"]
+    fast = [run(capsys, [command, str(path)]) for command in commands]
+    with monkeypatch.context() as patch:
+        patch.setattr(inputs, "_block_read", lambda raw, accepts: None)
+        assert [run(capsys, [command, str(path)]) for command in commands] == fast
+    scores, audit, partition = fast
+    if name == "space":
+        assert scores == (1, "", f"error: {_SCORES_EXPECTS}, got a space file\n")
+        assert partition == (1, "", f"error: {_PARTITION_EXPECTS}, got a space file\n")
+    elif audit[0] == 0:
+        assert isinstance(inputs.read_input(path, "audit", _AUDIT).loaded, ValueTable)
+    if name == "values-number-and-instances":
+        assert audit[2] == 'error: "values" must be a list of reals in mask order\n'
 
 
 # Finite, but its dividend at {0, 1} is -1e308 - 2e308.
