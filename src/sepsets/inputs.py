@@ -501,6 +501,8 @@ def partition_from_dict(payload: dict) -> Partition:
         for i in block:
             if not isinstance(i, int) or isinstance(i, bool):
                 raise PartitionError(f"block {k}: feature index {i!r} is not an integer")
+            if not 0 <= i < n:
+                raise PartitionError(f"block {k}: feature index {i} out of range for n={n}")
             # A repeat would vanish in the block's bitmask.
             if i in seen:
                 raise PartitionError(f"block {k}: feature index {i} appears more than once")

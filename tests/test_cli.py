@@ -331,6 +331,7 @@ def test_eval_dataset_writes_table(capsys, tmp_path):
     saved = json.loads(table_out.read_text())
     assert saved["n"] == 3
     assert np.allclose(saved["values"], TOY_VALUES, atol=1e-9)
+    assert table_out.read_bytes() == (GOLDEN / "toy.json").read_bytes()
     report = json.loads(out)["report"]
     assert report["features"] == ["f0", "f1", "f2"]
     assert report["rows"] == 3

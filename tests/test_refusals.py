@@ -120,6 +120,16 @@ REFUSALS = {
         PartitionError,
         '"blocks" must be a list of index lists',
     ),
+    "partition-dict-index-past-the-features": (
+        lambda: partition_from_dict({"n": 2, "blocks": [[0], [1, 2]]}),
+        PartitionError,
+        "block 1: feature index 2 out of range for n=2",
+    ),
+    "partition-dict-negative-index": (
+        lambda: partition_from_dict({"n": 2, "blocks": [[-1], [0, 1]]}),
+        PartitionError,
+        "block 0: feature index -1 out of range for n=2",
+    ),
     "sample-space-of-no-instances": (
         lambda: new_sample_space([]),
         TableError,

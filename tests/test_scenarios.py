@@ -26,6 +26,11 @@ DEMO_GOLDEN = {
     **{f"demo-{name}.{output}": ["demo", name, "--output", output]
        for name in DEMO_NAMES for output in ("json", "markdown")},
     "demo-collider-flags.json": ["demo", "collider", "--p-cancer-0", "0.1", "--p-gum-10", "0.7"],
+    # The six collider flags the entry above leaves at their defaults.
+    "demo-collider-six-flags.json": [
+        "demo", "collider", "--p-smoke", "0.4", "--p-earache", "0.35", "--p-gum-00", "0.2",
+        "--p-gum-01", "0.8", "--p-gum-11", "0.95", "--p-cancer-1", "0.6",
+    ],
 }
 
 
@@ -164,7 +169,17 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize(("build", "tables"), [(demo_twin_features, 5), (demo_mci_nonlinearity, 3)])
+@pytest.mark.parametrize(
+    ("build", "tables"),
+    [
+        (demo_twin_features, 5),
+        (demo_mci_nonlinearity, 3),
+        # Of its three tables the collider scores one; toy-separable scores
+        # its dataset table and the induced meta table.
+        (lambda tol: demo_collider(ColliderParams(), tol), 1),
+        (demo_toy_separable, 2),
+    ],
+)
 def test_demo_scores_each_table_once(monkeypatch, build, tables):
     vectors = _count_calls(monkeypatch, "score_vectors")
     singles = _count_calls(monkeypatch, "score_vector")
