@@ -18,6 +18,11 @@ where a boolean may hide or an error needs wording. orjson reads a CSV
 body of plain numbers in blocks of lines, and the csv module's row walk
 reads every other CSV file. Each fast path declines what it might read
 otherwise, so every value and every error line is the reference parser's.
+
+The file's SHA-256 runs on one helper thread while the calling thread
+parses the same bytes, and ``read_input`` joins it before it returns or
+raises. hashlib releases the GIL on buffers of 2 KiB or more and the
+parsers hold it, so the two run on two cores at once.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import operator
 import re
 import reprlib
 import struct
+import threading
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -71,6 +77,10 @@ def read_input(
     JSON given ``target`` or ``weight_col``, is refused unread, and one
     not UTF-8 anywhere before the whole-document parser or the CSV
     reader runs.
+
+    The digest is the SHA-256 of the bytes parsed. One helper thread
+    hashes them while this thread parses them, and is joined before this
+    function returns or raises, so no thread outlives the call.
     """
     names = {"table": "value-table", "space": "sample-space"}
     json_kinds = [names[k] for k in accepts if k != "csv"]
@@ -86,16 +96,23 @@ def read_input(
     if not is_csv and (target, weight_col) != (None, None):
         raise _UsageError("--target and --weight-col apply to CSV input only")
     raw = path.read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    if not is_csv:
-        return Input(_read_json(path, raw, accepts, expects), digest)
-    _check_utf8(path, raw)
-    X, y, w, features, raw_sum = _load_csv(path, raw, target, weight_col)
-    data = new_dataset(X, y, w)
-    notes = []
-    if w is not None and abs(raw_sum - 1.0) > 1e-12:
-        notes.append(f"weight column summed to {raw_sum:.12g}; weights normalized")
-    return Input(r2_value_table(data), digest, data.m, features, notes)
+    sha = hashlib.sha256()
+    hasher = threading.Thread(target=sha.update, args=(raw,))
+    hasher.start()
+    try:
+        if not is_csv:
+            parsed = Input(_read_json(path, raw, accepts, expects), "")
+        else:
+            _check_utf8(path, raw)
+            X, y, w, features, raw_sum = _load_csv(path, raw, target, weight_col)
+            data = new_dataset(X, y, w)
+            notes = []
+            if w is not None and abs(raw_sum - 1.0) > 1e-12:
+                notes.append(f"weight column summed to {raw_sum:.12g}; weights normalized")
+            parsed = Input(r2_value_table(data), "", data.m, features, notes)
+    finally:
+        hasher.join()
+    return parsed._replace(digest=sha.hexdigest())
 
 
 # orjson 3.8 parses without a depth limit: an object nested 70,000 deep, or

@@ -9,7 +9,9 @@ import reprlib
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -1998,3 +2000,93 @@ def test_table_cap_respected(capsys, tmp_path):
     wide.write_text(json.dumps({"n": 21, "values": [0.0] * (1 << 21)}))
     code, out, err = run(capsys, ["scores", str(wide)])
     assert (code, out, err) == (1, "", "error: n=21 exceeds the cap of 20 features\n")
+
+
+@pytest.fixture
+def hash_threads(monkeypatch):
+    """Every thread ``read_input`` makes, recorded as it is made."""
+    made = []
+
+    class Recorded(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(inputs, "threading", types.SimpleNamespace(Thread=Recorded))
+    return made
+
+
+def _hash_input(tmp_path: Path, kind: str) -> tuple[Path, list[str]]:
+    """A file that takes the read path ``kind`` names, and a command that reads it."""
+    if kind == "csv":
+        table_out = str(tmp_path / "t.json")
+        return Path(TOY_CSV), ["eval-dataset", TOY_CSV, "--target", "y", "--table-out", table_out]
+    rng = np.random.default_rng(5)
+    if kind == "sample space":
+        rows = [{"weight": w, "values": rng.normal(size=1 << 8).tolist()} for w in (1, 2, 3)]
+        payload, command = {"n": 8, "instances": rows}, "audit"
+    else:
+        n = 16 if kind == "block-read table" else 3
+        values = [0.0] + rng.normal(size=(1 << n) - 1).tolist()
+        payload, command = {"n": n, "values": values}, "scores"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    return path, [command, str(path)]
+
+
+@pytest.mark.parametrize("kind", ["block-read table", "whole-parse table", "sample space", "csv"])
+def test_input_sha256_is_the_digest_of_the_bytes_read(capsys, tmp_path, hash_threads, kind):
+    path, argv = _hash_input(tmp_path, kind)
+    raw = path.read_bytes()
+    if kind.endswith("table"):
+        assert (inputs._block_read(raw, ("table",)) is None) == (kind == "whole-parse table")
+    before = threading.active_count()
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["input_sha256"] == hashlib.sha256(raw).hexdigest()
+    # One helper thread hashed the file, and it was joined before the report.
+    assert [t.is_alive() for t in hash_threads] == [False]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    ("name", "content", "options", "message"),
+    [
+        (
+            "bad.json",
+            lambda: b'{"n": 1, "values": [0, 1,]}',
+            [],
+            "{path}: JSON parse error at line 1 column 26: Expecting value",
+        ),
+        (
+            "n21.json",
+            lambda: json.dumps({"n": 21, "values": [0] * (1 << 21)}).encode(),
+            [],
+            "n=21 exceeds the cap of 20 features",
+        ),
+        ("bad.csv", lambda: b"a,y\n1,\xff2\n3,4\n", ["--target", "y"], "{path}: not UTF-8 text"),
+    ],
+)
+def test_a_refused_input_leaves_no_hash_thread(
+    capsys, tmp_path, hash_threads, name, content, options, message
+):
+    path = tmp_path / name
+    path.write_bytes(content())
+    before = threading.active_count()
+    code, out, err = run(capsys, ["scores", str(path), *options])
+    assert (code, out, err) == (1, "", f"error: {message.format(path=path)}\n")
+    assert [t.is_alive() for t in hash_threads] == [False]
+    assert threading.active_count() == before
+
+
+def test_the_hash_thread_is_joined_when_the_parse_raises(tmp_path, monkeypatch, hash_threads):
+    path = tmp_path / "n16.json"
+    path.write_text(json.dumps({"n": 16, "values": [0.0] * (1 << 16)}))
+
+    def fail(*args):
+        raise RuntimeError("parse failed")
+
+    monkeypatch.setattr(inputs, "_read_json", fail)
+    with pytest.raises(RuntimeError, match="parse failed"):
+        inputs.read_input(path, "scores", ("table",))
+    assert [t.is_alive() for t in hash_threads] == [False]

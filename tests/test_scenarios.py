@@ -2,10 +2,13 @@
 
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from sepsets import ScoreMethod, Tolerance, importance
 from sepsets.cli import main
@@ -213,3 +216,65 @@ def test_twin_features_uses_methods_consistently():
     for method in METHODS:
         breaks = report.claim(f"axiom_breaks[{method}]").lhs
         assert ScoreMethod.parse(method) and breaks
+
+
+@pytest.mark.parametrize("tol", ["0.5", "1", "100", "1e300"])
+@pytest.mark.parametrize("output", ["json", "markdown"])
+def test_toy_separable_at_a_tolerance_that_splits_the_duplicates(capsys, tol, output):
+    # Such a tol splits the pair into singletons, whose meta table has
+    # 8 entries, not 4: the claim does not hold, and shows what it got.
+    assert main(["demo", "toy-separable", "--tol", tol, "--output", output]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if output == "json":
+        claims = {c["name"]: c for c in json.loads(out)["report"]["claims"]}
+        meta = claims["meta_table"]
+        assert meta["holds"] is False
+        assert len(meta["lhs"]) == 8 and meta["rhs"] == [0.0, 0.5, 1 / 3, 5 / 6]
+        assert claims["duplicates_share_a_block"]["lhs"] == [[0], [1], [2]]
+    else:
+        assert "\n| meta_table | NO | [0, 0.5, 0.5, 1, " in out
+        assert "\n| duplicates_share_a_block | NO | [[0], [1], [2]] |" in out
+
+
+_COLLIDER_FLAGS = (
+    "--p-smoke", "--p-earache", "--p-gum-00", "--p-gum-01",
+    "--p-gum-10", "--p-gum-11", "--p-cancer-0", "--p-cancer-1",
+)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    name=st.sampled_from(DEMO_NAMES),
+    output=st.sampled_from(["json", "markdown"]),
+    # Log-uniform in [1e-15, 1e300].
+    tol=st.floats(-15, 300).map(lambda e: 10.0**e),
+    flags=st.dictionaries(st.sampled_from(_COLLIDER_FLAGS), st.floats(0, 1)),
+)
+# This tol once ended toy-separable in a traceback.
+@example(name="toy-separable", output="json", tol=0.5, flags={})
+def test_demos_exit_zero_or_one_with_one_report_or_one_error_line(
+    capsys, name, output, tol, flags
+):
+    argv = ["demo", name, "--output", output, "--tol", repr(tol)]
+    argv += [arg for flag, p in flags.items() for arg in (flag, repr(p))]
+    with warnings.catch_warnings():
+        # A numpy warning would print lines of its own next to the report.
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    if code == 1:
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return
+    assert err == ""
+    if output == "json":
+        assert json.loads(out)["command"] == f"demo {name}"
+    else:
+        assert out.startswith(f"# sepsets demo {name}\n") and out.count("# sepsets ") == 1
