@@ -5,19 +5,21 @@ table, a sample space and a partition are what their JSON files hold;
 
 A JSON value table or sample space whose lists of numbers hold 4 KiB
 or more each (about 200 values) is read by ``_block_read``: orjson
-parses only the shell left around the lists, and ``_read_lists``, whose
-block parse itself proves each list held only numbers, reads them
-straight into one float64 array, a table's or the rows of a space's
-stack. orjson parses every other JSON document whole when it nests at
-most 1024 deep, and Python's json reads those orjson rejects or is not
-trusted with. Only the files ``_block_read`` declines, and CSV files,
-are checked for UTF-8 text first. ``_json_reals`` packs
-the parsed numbers into the array that keeps them: a table's own array,
-or an instance's row of a sample space's stack; it looks at types only
-where a boolean may hide or an error needs wording. orjson reads a CSV
-body of plain numbers in blocks of lines, and the csv module's row walk
-reads every other CSV file. Each fast path declines what it might read
-otherwise, so every value and every error line is the reference parser's.
+parses only the shell left around the lists, and ``_read_lists`` reads
+them in one walk, each orjson call filled with whole lists and a piece,
+cut at a comma, of the one that does not fit, straight into one float64
+array, a table's or the rows of a space's stack; those parses prove
+each list held only numbers. orjson parses every other JSON document
+whole when it nests at most 1024 deep, and Python's json reads those
+orjson rejects or is not trusted with. Only the files ``_block_read``
+declines, and CSV files, are checked for UTF-8 text first.
+``_json_reals`` packs the parsed numbers into the array that keeps
+them: a table's own array, or an instance's row of a sample space's
+stack; it looks at types only where a boolean may hide or an error
+needs wording. orjson reads a CSV body of plain numbers in blocks of
+lines, and the csv module's row walk reads every other CSV file. Each
+fast path declines what it might read otherwise, so every value and
+every error line is the reference parser's.
 
 The file's SHA-256 runs on one helper thread while the calling thread
 parses the same bytes, and ``read_input`` joins it before it returns or
@@ -27,7 +29,6 @@ parsers hold it, so the two run on two cores at once.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import hashlib
 import io
@@ -245,66 +246,55 @@ def _read_lists(raw: bytes, spans: list[tuple[int, int]], out: np.ndarray) -> bo
     float64 array ``out``; False unless each held ``out.size // len(spans)``
     numbers. No span may hold a "[" past its first byte.
 
-    orjson reads about ``_BLOCK_VALUES`` values a call, and each call's
-    values are packed as doubles. Lists shorter than a call's share of
-    bytes are read as one list, their items joined with a null between
-    each two lists, and those nulls are dropped by place; a longer list is
-    cut at commas into blocks, each read as ``[block]``. No call's text
-    holds a "t", "f" or "{". A string, null, object or list fails the
-    packing, and without "t" or "f" no item is true or false, which would
-    pack as 1.0 and 0.0. So each call read only numbers, and a list of
-    numbers is number text, commas and blanks (RFC 8259 section 5): the
-    lists were lists of numbers, read in order, and no cut fell inside a
-    value. An empty block, as between two commas, is refused.
+    One walk fills each orjson call with about ``_BLOCK_VALUES`` values
+    and packs them as doubles. A call takes whole lists while they fit,
+    with a null between each two, and cuts the one that does not fit at
+    the first comma past its room; the rest starts the next call. So each
+    null ends a list, and a call ends mid-list or at the last list's end.
+    No call's text holds a "t", "f" or "{", so no item is true or false,
+    which would pack as 1.0 and 0.0. The nulls must fill exactly the
+    places every ``size + 1`` items from where the first piece's list
+    ends if it holds ``size``, and are dropped; any other null, string,
+    object or list fails the packing. So each call read only numbers, and
+    a list of numbers is number text, commas and blanks (RFC 8259 section
+    5): no cut fell inside a value, and each list but the last ended after
+    a multiple of ``size`` numbers. orjson refuses an empty piece next to
+    a null, and an empty call is refused, so those ends increase, and the
+    last is ``out.size``: each list held ``size`` numbers.
     """
-    size = out.size // len(spans)
+    size, stop = out.size // len(spans), spans[-1][1]
     # Bytes per call, for calls of about _BLOCK_VALUES values.
-    step = max(1, (spans[-1][1] - spans[0][0]) * _BLOCK_VALUES // out.size)
-    ends = [end for _, end in spans]
-    filled, view, i = 0, memoryview(raw), 0
+    step = max(1, (stop - spans[0][0]) * _BLOCK_VALUES // out.size)
+    view, filled, parts, room = memoryview(raw), 0, [b"["], step
     try:
-        while i < len(spans):
-            start, end = spans[i]
-            if end - start <= step:
-                # The lists that end within step bytes of this one's start,
-                # their items joined with a null between lists.
-                j = bisect.bisect_right(ends, start + step, i + 1)
-                firsts, lasts = [s + 1 for s, _ in spans[i:j]], ends[i:j]
-                firsts[0], lasts[-1] = start, lasts[-1] + 1
-                text = b",null,".join(map(view.__getitem__, map(slice, firsts, lasts)))
+        for start, end in spans:
+            start += 1
+            while start <= end:
+                # Up to the first comma past the room, or the rest of the list.
+                cut = raw.find(b",", start + room, end)
+                cut = end if cut < 0 else cut
+                parts.append(view[start:cut])
+                room = max(0, room - (cut - start))
+                if cut == end != stop:
+                    parts.append(b",null,")
+                    break
+                parts.append(b"]")
+                text = b"".join(parts)
                 if any(text.find(byte) >= 0 for byte in _NOT_IN_NUMBERS):
                     return False
                 items = orjson.loads(text)
-                if len(items) != (j - i) * (size + 1) - 1:
+                # The places of the nulls between pieces, each after a list's last number.
+                first = size - filled % size
+                if not items or items[first :: size + 1] != [None] * (len(parts) // 2 - 1):
                     return False
-                # The places of the j - i - 1 nulls between lists. Any null
-                # left fails the packing, so each list held size items.
-                del items[size :: size + 1]
+                del items[first :: size + 1]
+                # A struct.error: past the end of the array, or not a number.
                 struct.pack_into(f"{len(items)}d", out, 8 * filled, *items)
                 filled += len(items)
-            else:
-                j = i + 1
-                while start < end:
-                    cut = raw.find(b",", start + step, end)
-                    cut = end if cut < 0 else cut
-                    # The bytes between the comma or "[" before the block and
-                    # the comma or "]" after it.
-                    block = b"".join((b"[", view[start + 1 : cut], b"]"))
-                    if any(block.find(byte) >= 0 for byte in _NOT_IN_NUMBERS):
-                        return False
-                    items = orjson.loads(block)
-                    # A struct.error: past the end of the array, or not a number.
-                    struct.pack_into(f"{len(items)}d", out, 8 * filled, *items)
-                    if not items:
-                        return False
-                    filled += len(items)
-                    start = cut
-                if filled != j * size:
-                    return False
-            i = j
+                parts, room, start = [b"["], step, cut + 1
     except (ValueError, struct.error):  # ValueError: a JSONDecodeError
         return False
-    return True
+    return filled == out.size
 
 
 def _block_read(raw: bytes, accepts: tuple[str, ...]) -> ValueTable | SampleSpace | None:

@@ -35,6 +35,7 @@ from sepsets.cli import main
 from sepsets.scenarios import ColliderParams
 from sepsets.inputs import table_json
 
+import audit_oracle
 from conftest import TOY_VALUES, seeded_table
 
 TOY_CSV = "data/toy.csv"
@@ -1404,6 +1405,14 @@ _SPACE_DECLINED = {
         '{"weight": 1, "values": [1]}', head='"values": 5, "x": [0], '
     ),
     "deep-objects": _space_text(_ROW, head='"x": %s, ' % _nested(1100, "{")),
+    # 2^n values a list on average: only where each list ends tells them
+    # from a space, wherever the calls start and end.
+    **{
+        f"lists-of-{'-'.join(map(str, lengths))}": _space_text(
+            *['{"weight": 1, "values": [%s]}' % ",".join(["1.25"] * m) for m in lengths], n=n
+        )
+        for n, lengths in [(2, (6, 2)), (3, (8, 10, 6))]
+    },
 }
 
 
@@ -1507,6 +1516,45 @@ def test_a_note_of_non_ascii_text_is_read_by_the_block_reader(capsys, tmp_path, 
         patch.setattr(inputs, "_block_read", lambda raw, accepts: None)
         assert run(capsys, ["scores", str(path)]) == fast
     assert fast[0] == 0
+
+
+def test_an_escape_in_a_document_past_1024_openers_skips_the_depth_scan(capsys, tmp_path):
+    # 2000 instances open 4000 brackets and braces; with a backslash in the
+    # shell no quote count is trusted, so json reads the file, as orjson
+    # reads the one without.
+    rows = ", ".join(['{"weight": 1, "values": [0, 1]}'] * 2000)
+    reports = []
+    for note in ("a\\nb", "anb"):
+        path = tmp_path / "many.json"
+        path.write_text('{"note": "%s", "n": 1, "instances": [%s]}' % (note, rows))
+        assert inputs._shallow(path.read_bytes()) == (note == "anb")
+        code, out, err = run(capsys, ["audit", str(path)])
+        assert (code, err) == (0, "")
+        reports.append({**json.loads(out), "input_sha256": None})
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        # Too few bytes for 2^20 values: declined before a value is read.
+        (
+            '{"n": 20, "values": [%s]}' % ", ".join(_cells(9)[:300]),
+            "expected 1048576 values for n=20, got shape (300,)",
+        ),
+        # A "values" key in a string of the shell, and an instance that is a list.
+        (
+            '{"n": 8, "instances": [[%s]], "x": "values"}' % ", ".join(_cells(8)),
+            'instance 0 needs keys "weight" and "values"',
+        ),
+    ],
+    ids=["too-short-for-n", "instance-not-an-object"],
+)
+def test_a_declined_block_read_gives_the_whole_parse_error_line(capsys, tmp_path, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert inputs._block_read(path.read_bytes(), _AUDIT) is None
+    assert run(capsys, ["audit", str(path)]) == (1, "", f"error: {message}\n")
 
 
 # A document of each kind, and documents with both a top-level "values"
@@ -2090,3 +2138,120 @@ def test_the_hash_thread_is_joined_when_the_parse_raises(tmp_path, monkeypatch, 
     with pytest.raises(RuntimeError, match="parse failed"):
         inputs.read_input(path, "scores", ("table",))
     assert [t.is_alive() for t in hash_threads] == [False]
+
+
+@st.composite
+def _fuzz_values(draw, n):
+    """2^n values: normal, small integers or zeros, v(empty) zero or not, scaled by 2^k."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "zero"]))
+    if kind == "normal":
+        values = rng.normal(size=1 << n)
+    else:
+        values = rng.integers(-3, 4, size=1 << n) * float(kind == "integer")
+    values[0] = draw(st.sampled_from([1.0, -3.0])) if draw(st.booleans()) else 0.0
+    return (values * 2.0 ** draw(st.integers(-1000, 1000))).tolist()
+
+
+@st.composite
+def _fuzz_cases(draw):
+    """A subcommand, and a table at n <= 6 for it or, for audit, maybe a
+    space of at most 8 such instances."""
+    command = draw(
+        st.sampled_from(
+            [["scores"], ["audit"], ["audit", "--fail-on-violation"], ["partition"],
+             ["partition", "--with-oracle"]]
+        )
+    )
+    n = draw(st.integers(1, 6))
+    if command[0] != "audit" or draw(st.booleans()):
+        return command, {"n": n, "values": draw(_fuzz_values(n))}
+    rows = draw(st.lists(st.tuples(st.floats(1e-3, 1e3), _fuzz_values(n)), min_size=1, max_size=8))
+    return command, {"n": n, "instances": [{"weight": w, "values": v} for w, v in rows]}
+
+
+def _partition_contract_holds(table, tol):
+    """v(empty) = 0, and every dividend is 0 or beyond tol: then the
+    separable sets are the unions of the shortcut's blocks."""
+    dividends = sepsets.mobius_transform(table).dividends
+    return table.values[0] == 0 and bool(np.all((dividends == 0) | (np.abs(dividends) > tol)))
+
+
+@settings(
+    max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    case=_fuzz_cases(),
+    output=st.sampled_from(["json", "markdown"]),
+    methods=st.lists(st.sampled_from([m.value for m in sepsets.ALL_METHODS]), max_size=4),
+    # Log-uniform in [1e-15, 1e300].
+    tol=st.floats(-15, 300).map(lambda e: 10.0**e),
+)
+# At a tol past some dividends the shortcut's blocks need not be
+# separable, and need not be the oracle's: each block's report says so.
+@example(
+    case=(["partition"], {"n": 3, "values": [0, 0, 0, 0.6, 0, 0.6, 0, 1.2]}),
+    output="json", methods=[], tol=1.0,
+)
+@example(
+    case=(["partition", "--with-oracle"], {"n": 3, "values": [-2, -1, -2, 1, 2, 1, 1, 1]}),
+    output="json", methods=[], tol=2.39,
+)
+def test_subcommands_exit_0_1_or_3_and_agree_with_their_oracles(
+    capsys, tmp_path, case, output, methods, tol
+):
+    command, payload = case
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = [*command, str(path), "--output", output, "--tol", repr(tol)]
+    if command[0] != "partition":
+        argv += [arg for name in methods for arg in ("--method", name)]
+    with warnings.catch_warnings():
+        # A numpy warning would print lines of its own next to the report.
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 3)
+    if code == 1 or code == 3 and command[0] == "partition":
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert code == 1 or "--with-oracle" in command
+        return
+    assert err == ""
+    report = json.loads(out)["report"] if output == "json" else None
+    tol = sepsets.Tolerance(tol)
+    is_table = "values" in payload
+    loaded = (sepsets.table_from_dict if is_table else sepsets.space_from_dict)(payload)
+    if command[0] == "audit":
+        chosen = tuple(dict.fromkeys(map(ScoreMethod.parse, methods))) or sepsets.ALL_METHODS
+        if is_table:
+            rows = audit_oracle.audit_rows(loaded, "table", chosen, tol)
+        else:
+            rows = audit_oracle.space_rows(loaded, chosen, tol)
+        failed = [label for label, rep in rows if not rep.passed]
+        assert code == (3 if failed and "--fail-on-violation" in command else 0)
+        if report is None:
+            assert out.endswith("\n\n" + sepsets.axioms.report_rows_markdown(rows))
+        else:
+            checks = [{"check": label, **rep.to_dict()} for label, rep in rows]
+            assert json.dumps(report["checks"], sort_keys=True) == json.dumps(checks, sort_keys=True)
+            assert report["violations"] == failed
+    elif command[0] == "partition":
+        assert code == 0
+        if report is None:
+            rows = [line.split(" | ")[0] for line in out.splitlines() if line.startswith("| [")]
+            blocks = [json.loads(row[2:]) for row in rows]
+        else:
+            blocks = report["partition"]["blocks"]
+            for entry in report["block_reports"]:
+                assert entry["separable"] == (entry["worst_residual"] <= tol.absolute)
+            if "--with-oracle" in command:
+                assert report["oracle"]["agrees"]
+        if _partition_contract_holds(loaded, tol.absolute):
+            oracle = sepsets.maximal_partition_oracle(loaded, tol)
+            assert blocks == [list(block) for block in oracle.block_indices()]
+    else:
+        assert code == 0
